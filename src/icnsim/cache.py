@@ -9,7 +9,6 @@ a seeded generator, so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -17,30 +16,10 @@ class CacheResult(Enum):
     HIT = "HIT"
     MISS_FILLED = "MISS_FILLED"
     SWAPFAIL_MISS = "SWAPFAIL_MISS"
-    MISS_UNFILLED = "MISS_UNFILLED"
 
     @property
     def is_hit(self) -> bool:
         return self is CacheResult.HIT
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    time_ms: float
-    url: str
-    result: CacheResult
-    requester: str
-
-
-@dataclass
-class CacheCounters:
-    requests: int = 0
-    hits: int = 0
-    misses: int = 0
-    swapfails: int = 0
-
-    def consistent(self) -> bool:
-        return self.hits + self.misses + self.swapfails == self.requests
 
 
 class CacheNode:
@@ -58,8 +37,6 @@ class CacheNode:
         self.admission_failure_rate = admission_failure_rate
         self.rng = rng or random.Random()
         self._store: dict[str, int] = {}
-        self.counters = CacheCounters()
-        self.access_log: list[AccessRecord] = []
 
     def __contains__(self, url: str) -> bool:
         return url in self._store
@@ -72,34 +49,18 @@ class CacheNode:
             return True
         return self.rng.random() >= self.admission_failure_rate
 
-    def serve(
-        self,
-        url: str,
-        now: float = 0.0,
-        requester: str = "client",
-        origin_available: bool = True,
-    ) -> CacheResult:
+    def serve(self, url: str) -> CacheResult:
         """Decide the outcome of one request; storage happens separately.
 
         A miss only turns into a cached object once :meth:`complete_fill`
         runs, so a second request racing the upstream fetch still misses.
         """
-        self.counters.requests += 1
         if url in self._store:
             self._store[url] = self._store.pop(url)  # refresh LRU position
-            self.counters.hits += 1
-            result = CacheResult.HIT
-        elif not origin_available:
-            self.counters.misses += 1
-            result = CacheResult.MISS_UNFILLED
-        elif self._admission_ok():
-            self.counters.misses += 1
-            result = CacheResult.MISS_FILLED
-        else:
-            self.counters.swapfails += 1
-            result = CacheResult.SWAPFAIL_MISS
-        self.access_log.append(AccessRecord(now, url, result, requester))
-        return result
+            return CacheResult.HIT
+        if self._admission_ok():
+            return CacheResult.MISS_FILLED
+        return CacheResult.SWAPFAIL_MISS
 
     def complete_fill(self, url: str, size: int) -> None:
         self._store.pop(url, None)
@@ -109,9 +70,9 @@ class CacheNode:
                 oldest = next(iter(self._store))
                 del self._store[oldest]
 
-    def serve_and_fill(self, url: str, size: int, now: float = 0.0, requester: str = "client") -> CacheResult:
+    def serve_and_fill(self, url: str, size: int) -> CacheResult:
         """Synchronous convenience for non-simulated use."""
-        result = self.serve(url, now=now, requester=requester)
+        result = self.serve(url)
         if result is CacheResult.MISS_FILLED:
             self.complete_fill(url, size)
         return result
@@ -128,15 +89,3 @@ class CacheNode:
                 self.complete_fill(url, size)
                 stored += 1
         return stored
-
-    def reset(self) -> None:
-        self._store.clear()
-        self.counters = CacheCounters()
-        self.access_log.clear()
-
-
-def write_access_log(cache: CacheNode, path) -> None:
-    """One line per request: time, url, result, requester."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in cache.access_log:
-            fh.write(f"{rec.time_ms:.6f}\t{rec.url}\t{rec.result.value}\t{rec.requester}\n")

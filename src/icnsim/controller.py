@@ -16,7 +16,7 @@ from . import mpd as mpdmod
 from .errors import IcnError, UnknownInstance
 from .flows import FlowManager, PathInstallation
 from .mpd import MpdManifest, UrlKind, classify_url, is_mpd_url, parse_mpd
-from .prefetch import AllocationMap, PrefetchPlan, allocate_layers, plan_prefetch
+from .prefetch import AllocationMap, allocate_layers, plan_prefetch
 from .proxy import ProxyRequestNotification
 from .registry import EndpointRole, IcnInstance, IcnRegistry, NetworkEndpoint
 from .topology import Host, Topology
@@ -100,7 +100,6 @@ class InstanceState:
     manifest_ready_at: dict[str, float] = field(default_factory=dict)
     allocation: AllocationMap | None = None
     planned_uris: dict[str, set[str]] = field(default_factory=dict)
-    plans: list[PrefetchPlan] = field(default_factory=list)
 
 
 def endpoint_host(endpoint: NetworkEndpoint) -> Host:
@@ -250,13 +249,10 @@ class IcnController:
                 (dst_mac, dst_ip, dst_port),
                 endpoint_host(nearest),
                 nearest.port,
-                now=self.hooks.now_ms(),
             )
             installations.append(installation)
         elif dst_host is not None:
-            installations.append(
-                self.flows.install_default_route(src_host, dst_host, now=self.hooks.now_ms())
-            )
+            installations.append(self.flows.install_default_route(src_host, dst_host))
         for installation in installations:
             self.hooks.activate_installation(installation)
         return installations
@@ -411,30 +407,20 @@ class IcnController:
         if not prefetchers:
             return
         prefetcher = prefetchers[0]
-        planned = state.planned_uris.setdefault(notification.source_ip, set())
-        nearest = self._nearest_cache(instance, notification)
         plan = plan_prefetch(
             manifest,
             match.repr_id,
             match.segment_number,
             server=notification.hostname,
             port=notification.destination_port,
-            session_key=(notification.source_ip, notification.source_port),
-            allocation=state.allocation,
-            default_cache=nearest.endpoint_id,
             lookahead=self.lookahead,
-            already_planned=planned,
-            issued_at=self.hooks.now_ms(),
+            already_planned=state.planned_uris.setdefault(notification.source_ip, set()),
         )
-        if not plan.commands:
-            return
-        state.plans.append(plan)
-        for planned_fetch in plan.commands:
-            ack = self.hooks.dispatch_prefetch(prefetcher, planned_fetch.command)
-            if not ack:
+        for command in plan.commands:
+            if not self.hooks.dispatch_prefetch(prefetcher, command):
                 self.hooks.log(
                     "PrefetchIssued",
-                    {"uri": planned_fetch.command.uri, "ok": False, "prefetcher": prefetcher.endpoint_id},
+                    {"uri": command.uri, "ok": False, "prefetcher": prefetcher.endpoint_id},
                 )
 
     def _install_session_flows(
@@ -467,7 +453,6 @@ class IcnController:
             (dst_mac, notification.destination_ip, notification.destination_port),
             endpoint_host(cache),
             cache.port,
-            now=self.hooks.now_ms(),
         )
         self.hooks.activate_installation(installation)
         return installation

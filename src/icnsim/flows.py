@@ -87,8 +87,6 @@ class PathInstallation:
     forward_rules: list[FlowRule]
     reverse_rules: list[FlowRule]
     state: InstallState = InstallState.PENDING
-    installed_at: float | None = None
-    active_at: float | None = None
 
     @property
     def dpids(self) -> list[str]:
@@ -132,13 +130,12 @@ class FlowManager:
                     best, best_key = r, key
         return best
 
-    def activate(self, installation: PathInstallation, now: float | None = None) -> None:
+    def activate(self, installation: PathInstallation) -> None:
         if installation.state is not InstallState.PENDING:
             return
         for r in installation.forward_rules + installation.reverse_rules:
             self._insert(r)
         installation.state = InstallState.ACTIVE
-        installation.active_at = now
 
     def teardown(self, installation: PathInstallation) -> None:
         """Remove both directions; safe to call twice."""
@@ -178,7 +175,6 @@ class FlowManager:
         original_dst: tuple[str, str, int],
         proxy: Host,
         proxy_port: int,
-        now: float | None = None,
     ) -> PathInstallation:
         """Steer client traffic for one original destination into the proxy.
 
@@ -208,7 +204,7 @@ class FlowManager:
         # Source port is deliberately absent: one redirect covers every
         # session the client opens toward this destination.
         key = (client.ip, 0, dst_ip, dst_port)
-        installation = PathInstallation(key, forward, reverse, installed_at=now)
+        installation = PathInstallation(key, forward, reverse)
         self.installations[key] = installation
         return installation
 
@@ -219,7 +215,6 @@ class FlowManager:
         virtual_dst: tuple[str, str, int],
         cache: Host,
         cache_port: int,
-        now: float | None = None,
     ) -> PathInstallation:
         """Rewrite one upstream proxy connection onto a cache.
 
@@ -252,7 +247,7 @@ class FlowManager:
             final_port=proxy.port,
             priority=PRIORITY_SESSION,
         )
-        installation = PathInstallation(session_key, forward, reverse, installed_at=now)
+        installation = PathInstallation(session_key, forward, reverse)
         self.installations[session_key] = installation
         return installation
 
@@ -297,7 +292,7 @@ class FlowManager:
         self.installations[key] = installation
         self.activate(installation)
 
-    def install_default_route(self, a: Host, b: Host, now: float | None = None) -> PathInstallation:
+    def install_default_route(self, a: Host, b: Host) -> PathInstallation:
         """Plain forwarding for one host pair, both directions."""
         key = (a.ip, 0, b.ip, 0)
         if key in self.installations and self.installations[key].state is not InstallState.REMOVED:
@@ -319,7 +314,7 @@ class FlowManager:
             final_port=a.port,
             priority=PRIORITY_DEFAULT_GW,
         )
-        installation = PathInstallation(key, forward, reverse, installed_at=now)
+        installation = PathInstallation(key, forward, reverse)
         self.installations[key] = installation
         return installation
 

@@ -65,23 +65,9 @@ class PrefetchCommand:
         return {"uri": self.uri, "server": self.server, "port": self.port}
 
 
-@dataclass(frozen=True)
-class PlannedFetch:
-    command: PrefetchCommand
-    repr_id: int
-    segment_number: int
-    cache_id: str | None
-
-
 @dataclass
 class PrefetchPlan:
-    session_key: tuple
-    commands: list[PlannedFetch] = field(default_factory=list)
-    issued_at: float = 0.0
-
-    @property
-    def uris(self) -> list[str]:
-        return [planned.command.uri for planned in self.commands]
+    commands: list[PrefetchCommand] = field(default_factory=list)
 
 
 def plan_prefetch(
@@ -91,19 +77,16 @@ def plan_prefetch(
     *,
     server: str,
     port: int,
-    session_key: tuple,
-    allocation: AllocationMap | None = None,
-    default_cache: str | None = None,
     lookahead: int | None = None,
     already_planned: set[str] | None = None,
-    issued_at: float = 0.0,
 ) -> PrefetchPlan:
     """Commands for every layer of every upcoming segment, in playback order.
 
     Segments run from the requested one forward (``lookahead`` of them, or to
     the end of the video); within a segment the lowest layer comes first.
     URIs already planned for this session are dropped so re-requests do not
-    flood the prefetcher.
+    flood the prefetcher.  Which cache a layer lands on is decided when the
+    prefetcher's own request reaches the controller.
     """
     chain = resolve_chain(manifest, requested_repr)
     start = requested_segment
@@ -115,20 +98,12 @@ def plan_prefetch(
             f"segment {requested_segment} outside [{manifest.start_number}, {stop})"
         )
     seen = already_planned if already_planned is not None else set()
-    plan = PrefetchPlan(session_key=session_key, issued_at=issued_at)
+    plan = PrefetchPlan()
     for segment in range(start, stop):
         for layer in chain:
             uri = manifest.segment_url(layer, segment)
             if uri in seen:
                 continue
             seen.add(uri)
-            cache_id = allocation.cache_for(layer) if allocation is not None else default_cache
-            plan.commands.append(
-                PlannedFetch(
-                    command=PrefetchCommand(uri=uri, server=server, port=port),
-                    repr_id=layer,
-                    segment_number=segment,
-                    cache_id=cache_id if cache_id is not None else default_cache,
-                )
-            )
+            plan.commands.append(PrefetchCommand(uri=uri, server=server, port=port))
     return plan

@@ -8,7 +8,7 @@ so connecting retries with exponential backoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import urlsplit
 
@@ -109,8 +109,6 @@ class ProxySession:
     client_mac: str
     state: ProxyState = ProxyState.ACCEPTED
     notification: ProxyRequestNotification | None = None
-    attempts: int = 0
-    history: list[ProxyState] = field(default_factory=list)
 
     def _move(self, new_state: ProxyState) -> None:
         allowed = {
@@ -123,7 +121,6 @@ class ProxySession:
         }[self.state]
         if new_state not in allowed:
             raise ValueError(f"illegal transition {self.state} -> {new_state}")
-        self.history.append(self.state)
         self.state = new_state
 
     def on_client_request(self, raw_head: bytes | str) -> ProxyRequestNotification:

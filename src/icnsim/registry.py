@@ -69,7 +69,6 @@ class NetworkEndpoint:
     location: tuple[str, int]
     endpoint_type: str = ""
     is_proactive: bool = False
-    reachable: bool = True
 
 
 @dataclass

@@ -73,7 +73,7 @@ class SimHooks:
         world.activation_eta[id(installation)] = world.loop.now + delay
 
         def do() -> None:
-            world.flows.activate(installation, world.loop.now)
+            world.flows.activate(installation)
             world.loop.emit(
                 EventKind.FLOW_INSTALLED,
                 {
@@ -333,7 +333,7 @@ class FetchJob:
         if cache_node is None:
             self._respond_from(target, size, outcome="origin")
             return
-        result = cache_node.serve(self.url_path, world.loop.now, self.role, origin_available=True)
+        result = cache_node.serve(self.url_path)
         match = world.classify(self.url_path)
         world.loop.emit(
             EventKind.CACHE_SERVE,
@@ -425,7 +425,7 @@ class DashClient:
         started = world.loop.now
 
         def mpd_done(_outcome: str) -> None:
-            self.manifest = parse_mpd(world.mpd_bytes, world.mpd_path)
+            self.manifest = world.manifest
             self.chain = resolve_chain(self.manifest, self.repr_id)
             world.loop.emit(
                 EventKind.MPD_RETRIEVED,
@@ -567,11 +567,6 @@ class SimWorld:
         self.origin_host = self.topology.host(origin_id)
         self.manifest = parse_mpd(self.mpd_bytes, self.mpd_path)
         self.catalog = build_catalog(self.manifest, self.mpd_path, len(self.mpd_bytes))
-        self._classify_index = {
-            url: (rep.repr_id, number)
-            for rep in self.manifest.representations.values()
-            for number, url in enumerate(rep.segment_urls, self.manifest.start_number)
-        }
 
         self.caches: dict[str, CacheNode] = {}
         self.cache_by_ip: dict[str, CacheNode] = {}
@@ -724,7 +719,7 @@ class SimWorld:
         return None
 
     def classify(self, url_path: str) -> tuple[int | None, int | None]:
-        return self._classify_index.get(url_path, (None, None))
+        return self.manifest.url_index.get(url_path, (None, None))
 
     def next_port(self) -> int:
         return next(self._port_seq)

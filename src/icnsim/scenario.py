@@ -68,7 +68,6 @@ class ControlParams:
     analysis_delay_s: tuple[float, float] = (0.1, 0.4)
     prefetch_warmup_s: tuple[float, float] = (2.0, 25.0)
     prefetch_parallelism: int = 4
-    prefetch_partial_bytes: int | None = None  # experimental, leave unset
     lookahead_segments: int | None = None
 
 
@@ -266,7 +265,6 @@ def _build_config(data: dict, path: Path, kind_override: str | None) -> Scenario
         mpd_file = path.parent / mpd_file
 
     capacity = cache_data.get("capacity_objects")
-    partial = control_data.get("prefetch_partial_bytes")
     lookahead = control_data.get("lookahead_segments")
     return ScenarioConfig(
         name=str(data.get("name", path.stem)),
@@ -302,7 +300,6 @@ def _build_config(data: dict, path: Path, kind_override: str | None) -> Scenario
             analysis_delay_s=_range_pair(control_data.get("analysis_delay_s"), (0.1, 0.4)),
             prefetch_warmup_s=_range_pair(control_data.get("prefetch_warmup_s"), (2.0, 25.0)),
             prefetch_parallelism=int(control_data.get("prefetch_parallelism", 4)),
-            prefetch_partial_bytes=int(partial) if partial is not None else None,
             lookahead_segments=int(lookahead) if lookahead is not None else None,
         ),
     )

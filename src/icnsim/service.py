@@ -22,7 +22,7 @@ from .controller import (
     ImmediateHooks,
     SteeringDeferred,
 )
-from .errors import MalformedHttp
+from .errors import DuplicateSession, IcnError, MalformedHttp
 from .proxy import (
     DEFAULT_BACKOFF_FACTOR,
     DEFAULT_INITIAL_BACKOFF_MS,
@@ -84,7 +84,12 @@ class _ControlHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         path = self._route()
-        params = _read_body_params(self)
+        try:
+            params = _read_body_params(self)
+        except ValueError as exc:
+            # undecodable JSON or text, or a non-integer Content-Length
+            self._respond(400, {"error": "BadRequest", "message": f"{type(exc).__name__}: {exc}"})
+            return
         if path == PROXY_REQUEST_PATH:
             self._handle_proxy_request(params)
             return
@@ -120,7 +125,12 @@ class _ControlHandler(BaseHTTPRequestHandler):
             return
         deadline = time.monotonic() + self.defer_wait_s
         while True:
-            outcome = self.controller.handle_proxy_request(notification)
+            try:
+                outcome = self.controller.handle_proxy_request(notification)
+            except IcnError as exc:
+                status = 409 if isinstance(exc, DuplicateSession) else 400
+                self._respond(status, {"error": type(exc).__name__, "message": str(exc)})
+                return
             if not isinstance(outcome, SteeringDeferred):
                 break
             if time.monotonic() >= deadline:
@@ -212,7 +222,7 @@ class DelayedBindingProxy:
         self._listener.settimeout(0.2)
         self._running = False
         self._thread: threading.Thread | None = None
-        self.sessions: list[ProxySession] = []
+        self.sessions: dict[tuple, ProxySession] = {}  # open sessions by client address
 
     @property
     def address(self) -> tuple[str, int]:
@@ -294,24 +304,24 @@ class DelayedBindingProxy:
                 (client_ip, client_port, dst_ip, self.default_upstream_port, 6),
                 client_mac="00:00:00:00:00:00",
             )
-            notification = session.on_client_request(head)
-            self.sessions.append(session)
-            answer = self._steer(notification)
-            if answer is None:
-                conn.sendall(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
+            self.sessions[addr] = session
+            try:
+                answer = self._steer(session.on_client_request(head))
+                if answer is None:
+                    conn.sendall(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
+                    return
+                session.mark_steered()
+                upstream = self._dial(str(answer["ip"]), int(answer["port"]))
+                if upstream is None:
+                    conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+                    return
+                with upstream:
+                    upstream.sendall(head)
+                    session.mark_spliced()
+                    self._splice(conn, upstream)
+            finally:
                 session.close()
-                return
-            session.mark_steered()
-            upstream = self._dial(str(answer["ip"]), int(answer["port"]))
-            if upstream is None:
-                conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
-                session.close()
-                return
-            with upstream:
-                upstream.sendall(head)
-                session.mark_spliced()
-                self._splice(conn, upstream)
-            session.close()
+                del self.sessions[addr]
 
     @staticmethod
     def _splice(a: socket.socket, b: socket.socket) -> None:

@@ -75,7 +75,6 @@ class Transfer:
     rate_bits_per_ms: float = 0.0
     last_update_ms: float = 0.0
     version: int = 0
-    draining: bool = True
     finite_keys: list[str] = field(default_factory=list)
 
 
@@ -146,7 +145,6 @@ class TransferManager:
             if self._link_users[key] == 0:
                 del self._link_users[key]
                 del self._link_capacity[key]
-        transfer.draining = False
         self._rebalance()
         self.loop.schedule(transfer.path.latency_ms, transfer.on_complete)
 

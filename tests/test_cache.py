@@ -4,27 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icnsim.cache import CacheNode, CacheResult, write_access_log
+from icnsim.cache import CacheNode, CacheResult
 
 
 def test_miss_then_fill_then_hit():
     cache = CacheNode("c1")
-    assert cache.serve("/a") is CacheResult.MISS_FILLED
+    results = [cache.serve("/a")]
     # the object is not stored until the upstream fetch lands
     assert "/a" not in cache
-    assert cache.serve("/a") is CacheResult.MISS_FILLED
+    results.append(cache.serve("/a"))
     cache.complete_fill("/a", 1000)
-    assert cache.serve("/a") is CacheResult.HIT
-    assert cache.counters.requests == 3
-    assert cache.counters.hits == 1
-    assert cache.counters.misses == 2
-    assert cache.counters.consistent()
-
-
-def test_origin_unavailable_never_promises_a_fill():
-    cache = CacheNode("c1")
-    assert cache.serve("/a", origin_available=False) is CacheResult.MISS_UNFILLED
-    assert cache.counters.misses == 1
+    results.append(cache.serve("/a"))
+    assert results == [CacheResult.MISS_FILLED, CacheResult.MISS_FILLED, CacheResult.HIT]
+    assert len(cache) == 1
 
 
 def test_lru_eviction_and_refresh():
@@ -54,8 +46,9 @@ def test_admission_failures_are_seed_deterministic():
     results_b = [b.serve(u) for u in urls]
     assert results_a == results_b
     assert CacheResult.SWAPFAIL_MISS in results_a
-    assert a.counters.swapfails == results_a.count(CacheResult.SWAPFAIL_MISS)
-    assert a.counters.consistent()
+    assert CacheResult.MISS_FILLED in results_a
+    assert CacheResult.HIT not in results_a  # serve alone never stores
+    assert len(a) == 0
 
 
 def test_swapfail_leaves_nothing_behind():
@@ -63,7 +56,7 @@ def test_swapfail_leaves_nothing_behind():
     assert cache.serve("/a") is CacheResult.SWAPFAIL_MISS
     assert "/a" not in cache
     assert cache.serve("/a") is CacheResult.SWAPFAIL_MISS
-    assert cache.counters.hits == 0
+    assert len(cache) == 0
 
 
 def test_bad_failure_rate_rejected():
@@ -88,27 +81,6 @@ def test_serve_and_fill_convenience():
     assert cache.serve_and_fill("/a", 512) is CacheResult.HIT
 
 
-def test_reset_clears_everything():
-    cache = CacheNode("c1")
-    cache.serve_and_fill("/a", 1)
-    cache.reset()
-    assert len(cache) == 0
-    assert cache.counters.requests == 0
-    assert cache.access_log == []
-
-
-def test_access_log_format(tmp_path):
-    cache = CacheNode("c1")
-    cache.serve("/a", now=12.5, requester="client")
-    cache.complete_fill("/a", 1)
-    cache.serve("/a", now=20.0, requester="prefetcher")
-    path = tmp_path / "access.log"
-    write_access_log(cache, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "12.500000\t/a\tMISS_FILLED\tclient"
-    assert lines[1] == "20.000000\t/a\tHIT\tprefetcher"
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.sampled_from([f"/u{i}" for i in range(8)]), max_size=60),
@@ -116,15 +88,13 @@ def test_access_log_format(tmp_path):
     st.floats(min_value=0.0, max_value=0.9),
     st.integers(min_value=0, max_value=999),
 )
-def test_counters_and_capacity_invariants(urls, capacity, rate, seed):
+def test_results_and_capacity_invariants(urls, capacity, rate, seed):
     cache = CacheNode("c1", capacity_objects=capacity, admission_failure_rate=rate,
                       rng=random.Random(seed))
-    shadow: set[str] = set()
     for url in urls:
         stored_before = url in cache
         result = cache.serve_and_fill(url, 100)
         assert result.is_hit == stored_before
-        shadow.add(url)
+        # a request stores its object exactly when it was a hit or an admitted miss
+        assert (url in cache) == (result is not CacheResult.SWAPFAIL_MISS)
         assert len(cache) <= capacity
-    assert cache.counters.consistent()
-    assert cache.counters.requests == len(urls)

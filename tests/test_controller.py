@@ -220,10 +220,15 @@ def test_distributed_allocation_splits_layers_across_caches():
     high = ctrl.handle_proxy_request(notify(topo, seg(3, 1), sport=34002))
     assert high.cache_id == "cache-0002"
     assert high.connect_ip == topo.host("origin").ip
+    # the client's two requests planned chain(3) over every segment
+    uris = [cmd.uri for _, cmd in hooks.dispatched]
+    assert sorted(uris) == sorted(seg(rid, n) for rid in range(4) for n in range(1, 9))
+    # the prefetcher's own request for each planned URI is steered by layer
     by_cache = {}
-    for plan in ctrl.state["icn-0001"].plans:
-        for planned in plan.commands:
-            by_cache.setdefault(planned.cache_id, set()).add(planned.repr_id)
+    for sport, uri in enumerate(uris, 40001):
+        answer = ctrl.handle_proxy_request(notify(topo, uri, source="prefetcher", sport=sport))
+        rid = int(uri.split("_rep")[1].split("_")[0])
+        by_cache.setdefault(answer.cache_id, set()).add(rid)
     assert by_cache == {"cache-0001": {0, 1}, "cache-0002": {2, 3}}
 
 

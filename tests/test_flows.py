@@ -77,7 +77,7 @@ def test_redirect_is_invisible_to_the_client():
         client, (origin.mac, origin.ip, 80), proxy, 8080
     )
     assert installation.state is InstallState.PENDING
-    flows.activate(installation, now=1.0)
+    flows.activate(installation)
 
     syn = tcp_header(client.mac, client.ip, 34001, origin.mac, origin.ip, 80)
     walk = flows.packet_walk(client, syn)

@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 from conftest import SMALL_MPD
 from icnsim.errors import UnknownRepresentation
 from icnsim.mpd import parse_mpd
-from icnsim.prefetch import AllocationMap, allocate_layers, plan_prefetch
+from icnsim.prefetch import allocate_layers, plan_prefetch
 
 
 @pytest.fixture(scope="module")
 def manifest():
     return parse_mpd(SMALL_MPD, "http://h/v/small.mpd")
+
+
+def placed(manifest, command):
+    """(segment number, layer) of a planned command."""
+    repr_id, segment = manifest.url_index[command.uri]
+    return segment, repr_id
 
 
 def test_allocation_fifty_over_two():
@@ -66,59 +72,43 @@ def test_allocation_is_a_partition(r, n):
 
 
 def test_plan_covers_chain_for_all_remaining_segments(manifest):
-    plan = plan_prefetch(
-        manifest, 2, 1, server="10.0.0.9", port=80, session_key=("c", 1),
-        default_cache="c1",
-    )
+    plan = plan_prefetch(manifest, 2, 1, server="10.0.0.9", port=80)
     # chain(2) = [0, 1, 2]; 8 segments of everything
     assert len(plan.commands) == 3 * 8
     first = plan.commands[0]
-    assert first.command.server == "10.0.0.9"
-    assert first.command.port == 80
-    assert first.command.to_params() == {"uri": first.command.uri, "server": "10.0.0.9", "port": 80}
+    assert first.server == "10.0.0.9"
+    assert first.port == 80
+    assert first.to_params() == {"uri": first.uri, "server": "10.0.0.9", "port": 80}
     # playback order: all layers of segment n before any layer of segment n+1
-    order = [(p.segment_number, p.repr_id) for p in plan.commands]
+    order = [placed(manifest, cmd) for cmd in plan.commands]
     assert order == sorted(order)
-    assert {p.cache_id for p in plan.commands} == {"c1"}
 
 
 def test_plan_starts_at_requested_segment(manifest):
-    plan = plan_prefetch(manifest, 2, 6, server="s", port=80, session_key=())
-    assert {p.segment_number for p in plan.commands} == {6, 7, 8}
+    plan = plan_prefetch(manifest, 2, 6, server="s", port=80)
+    assert {placed(manifest, cmd)[0] for cmd in plan.commands} == {6, 7, 8}
 
 
 def test_plan_lookahead_caps_segments(manifest):
-    plan = plan_prefetch(manifest, 2, 1, server="s", port=80, session_key=(), lookahead=2)
-    assert {p.segment_number for p in plan.commands} == {1, 2}
+    plan = plan_prefetch(manifest, 2, 1, server="s", port=80, lookahead=2)
+    assert {placed(manifest, cmd)[0] for cmd in plan.commands} == {1, 2}
 
 
 def test_plan_dedups_against_caller_state(manifest):
     seen: set[str] = set()
-    first = plan_prefetch(manifest, 1, 1, server="s", port=80, session_key=(),
-                          already_planned=seen)
+    first = plan_prefetch(manifest, 1, 1, server="s", port=80, already_planned=seen)
     assert len(first.commands) == 2 * 8  # chain(1) = [0, 1]
     # a later request for a higher layer only adds what is new
-    second = plan_prefetch(manifest, 2, 1, server="s", port=80, session_key=(),
-                           already_planned=seen)
+    second = plan_prefetch(manifest, 2, 1, server="s", port=80, already_planned=seen)
     assert len(second.commands) == 1 * 8
-    assert {p.repr_id for p in second.commands} == {2}
-    assert seen == set(first.uris) | set(second.uris)
-
-
-def test_plan_uses_allocation_for_cache_attribution(manifest):
-    alloc = AllocationMap(4, (("near", 0, 2), ("far", 2, 4)))
-    plan = plan_prefetch(manifest, 3, 1, server="s", port=80, session_key=(),
-                         allocation=alloc)
-    by_cache = {}
-    for p in plan.commands:
-        by_cache.setdefault(p.cache_id, set()).add(p.repr_id)
-    assert by_cache == {"near": {0, 1}, "far": {2, 3}}
+    assert {placed(manifest, cmd)[1] for cmd in second.commands} == {2}
+    assert seen == {cmd.uri for cmd in first.commands + second.commands}
 
 
 def test_plan_rejects_bad_inputs(manifest):
     with pytest.raises(UnknownRepresentation):
-        plan_prefetch(manifest, 99, 1, server="s", port=80, session_key=())
+        plan_prefetch(manifest, 99, 1, server="s", port=80)
     with pytest.raises(UnknownRepresentation):
-        plan_prefetch(manifest, 2, 9, server="s", port=80, session_key=())
+        plan_prefetch(manifest, 2, 9, server="s", port=80)
     with pytest.raises(UnknownRepresentation):
-        plan_prefetch(manifest, 2, 0, server="s", port=80, session_key=())
+        plan_prefetch(manifest, 2, 0, server="s", port=80)

@@ -67,16 +67,13 @@ def test_session_happy_path_emits_one_notification():
     # a second head on the same session is a protocol violation
     with pytest.raises(ValueError):
         session.on_client_request(HEAD)
+    assert session.state is ProxyState.NOTIFIED
     session.mark_steered()
+    assert session.state is ProxyState.STEERED
     session.mark_spliced()
+    assert session.state is ProxyState.SPLICED
     session.close()
-    assert session.history == [
-        ProxyState.ACCEPTED,
-        ProxyState.URL_READ,
-        ProxyState.NOTIFIED,
-        ProxyState.STEERED,
-        ProxyState.SPLICED,
-    ]
+    assert session.state is ProxyState.CLOSED
 
 
 def test_session_closes_on_malformed_head():

@@ -36,10 +36,12 @@ def control():
     server.server_close()
 
 
-def call(base, method, path, params=None):
-    data = json.dumps(params).encode() if params is not None else None
-    request = Request(f"{base}/{path}", data=data, method=method,
-                      headers={"Content-Type": "application/json"})
+def call(base, method, path, params=None, body=None, headers=None):
+    """One request with params as JSON, or with a raw body and headers as given."""
+    if body is None and params is not None:
+        body = json.dumps(params).encode()
+    request = Request(f"{base}/{path}", data=body, method=method,
+                      headers=headers or {"Content-Type": "application/json"})
     try:
         with urlopen(request, timeout=5.0) as response:
             return response.status, json.loads(response.read() or b"{}")
@@ -87,6 +89,49 @@ def test_rest_proxyrequest_default_gateway(control):
 
     status, body = call(base, "POST", "onos/icn/proxyrequest", {"uri": "/x"})
     assert status == 400 and body["error"] == "BadNotification"
+
+
+GATEWAY_REQUEST = {
+    "uri": "/file.bin", "hostname": "elsewhere.example",
+    "source_ip": "10.0.0.1", "destination_ip": "10.9.9.9",
+    "source_port": 40000, "destination_port": 80,
+}
+
+
+@pytest.mark.parametrize("path", ["onos/icn/proxyrequest", "onos/icn/icn"])
+@pytest.mark.parametrize(
+    "body, headers",
+    [
+        (b'{"uri": "/v/seg1.svc", "hostname": "conc', {"Content-Type": "application/json"}),
+        (b'{"uri": "\xff"}', {"Content-Type": "application/json"}),
+        (b"uri=%2Fx", {"Content-Type": "application/x-www-form-urlencoded", "Content-Length": "ten"}),
+    ],
+    ids=["truncated-json", "undecodable", "bad-content-length"],
+)
+def test_unparseable_body_gets_400_and_the_server_keeps_answering(control, path, body, headers):
+    _, base = control
+    status, answer = call(base, "POST", path, body=body, headers=headers)
+    assert status == 400 and answer["error"] == "BadRequest"
+    status, answer = call(base, "POST", "onos/icn/proxyrequest", GATEWAY_REQUEST)
+    assert status == 200 and answer["defaultGateway"] is True
+
+
+def test_duplicate_proxyrequest_gets_409(control):
+    _, base = control
+    params = {"instance": "icn-0001", "location": {"dpid": "s1", "port": 101}}
+    assert call(base, "POST", "onos/icn/icn", {"name": "bbb", "type": "PLAIN"})[0] == 201
+    assert call(base, "POST", "onos/icn/proxy", {**params, "mac": "aa:00:00:00:00:01",
+                                                 "ip": "10.0.0.7", "proxy_port": 8080})[0] == 201
+    assert call(base, "POST", "onos/icn/cache", {**params, "mac": "aa:00:00:00:00:02",
+                                                 "ip": "10.0.0.8", "port": 3128})[0] == 201
+    assert call(base, "POST", "onos/icn/provider",
+                {"instance": "icn-0001", "name": "p", "network": "10.0.0.0/8",
+                 "uripattern": "/v/.*", "hostpattern": ".*"})[0] == 201
+    request = {**GATEWAY_REQUEST, "uri": "/v/seg1.svc", "source_port": 40001}
+    status, first = call(base, "POST", "onos/icn/proxyrequest", request)
+    assert status == 200 and first["cache"] == "cache-0001"
+    status, second = call(base, "POST", "onos/icn/proxyrequest", request)
+    assert status == 409 and second["error"] == "DuplicateSession"
 
 
 def make_icn_world(receiver_port):
@@ -206,9 +251,9 @@ def test_proxy_dials_upstream_only_after_the_head():
         assert reply.endswith(b"origin:/hello")
         assert origin.connections == 1
         deadline = time.time() + 2.0
-        while proxy.sessions[-1].state.value != "closed" and time.time() < deadline:
+        while proxy.sessions and time.time() < deadline:
             time.sleep(0.01)  # the worker notices our close asynchronously
-        assert proxy.sessions[-1].state.value == "closed"
+        assert proxy.sessions == {}  # only open sessions are held
     finally:
         proxy.stop()
         origin.stop()
