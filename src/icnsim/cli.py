@@ -93,17 +93,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def serve_controller(config):
+    """The controller ``icnsim serve`` exposes; it ingests the config's own manifest."""
     from .controller import IcnController
     from .flows import FlowManager
+    from .mpd import _url_path
     from .registry import IcnRegistry
-    from .service import HttpHooks, make_control_server
+    from .service import HttpHooks
 
-    config = _load(args)
-    registry = IcnRegistry(config.topology)
+    mpd_bytes = config.mpd_bytes()
+    mpd_path = _url_path(config.mpd_url)
+
+    def fetcher(url_path: str, _hostname: str) -> bytes | None:
+        return mpd_bytes if url_path == mpd_path else None
+
     flows = FlowManager(config.topology)
-    controller = IcnController(registry, flows, HttpHooks(flows))
-    server = make_control_server(controller, args.host, args.port)
+    return IcnController(IcnRegistry(config.topology), flows, HttpHooks(flows, fetcher))
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service import make_control_server
+
+    server = make_control_server(serve_controller(_load(args)), args.host, args.port)
     host, port = server.server_address[:2]
     print(f"control service on http://{host}:{port}/onos/icn/ (Ctrl-C to stop)")
     try:

@@ -11,7 +11,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Generator
 
 
 class EventKind(str, Enum):
@@ -74,6 +74,26 @@ class EventLoop:
         """Record an event happening right now."""
         self._ordinal += 1
         self.records.append(SimEvent(self.now, self._ordinal, kind, payload))
+
+    def spawn(self, process: Generator) -> None:
+        """Drive a generator process from now on, up to its first wait inline.
+
+        A yielded number is a delay in ms.  A yielded callable is handed the
+        process's resume function and calls it once when the wait is over, as
+        ``TransferManager.start`` calls its completion callback.
+        """
+
+        def resume() -> None:
+            try:
+                wait = next(process)
+            except StopIteration:
+                return
+            if callable(wait):
+                wait(resume)
+            else:
+                self.schedule(wait, resume)
+
+        resume()
 
     def run(self, max_time_ms: float | None = None) -> None:
         while self._heap:

@@ -17,7 +17,6 @@ from .errors import MalformedHttp
 DEFAULT_INITIAL_BACKOFF_MS = 10.0
 DEFAULT_BACKOFF_FACTOR = 2.0
 DEFAULT_MAX_RETRIES = 5
-DEFAULT_ACCEPT_QUEUE = 128
 
 
 class ProxyState(Enum):
@@ -27,6 +26,16 @@ class ProxyState(Enum):
     STEERED = "steered"
     SPLICED = "spliced"
     CLOSED = "closed"
+
+
+_ALLOWED_MOVES = {
+    ProxyState.ACCEPTED: {ProxyState.URL_READ, ProxyState.CLOSED},
+    ProxyState.URL_READ: {ProxyState.NOTIFIED, ProxyState.CLOSED},
+    ProxyState.NOTIFIED: {ProxyState.STEERED, ProxyState.CLOSED},
+    ProxyState.STEERED: {ProxyState.SPLICED, ProxyState.CLOSED},
+    ProxyState.SPLICED: {ProxyState.CLOSED},
+    ProxyState.CLOSED: set(),
+}
 
 
 @dataclass(frozen=True)
@@ -111,15 +120,7 @@ class ProxySession:
     notification: ProxyRequestNotification | None = None
 
     def _move(self, new_state: ProxyState) -> None:
-        allowed = {
-            ProxyState.ACCEPTED: {ProxyState.URL_READ, ProxyState.CLOSED},
-            ProxyState.URL_READ: {ProxyState.NOTIFIED, ProxyState.CLOSED},
-            ProxyState.NOTIFIED: {ProxyState.STEERED, ProxyState.CLOSED},
-            ProxyState.STEERED: {ProxyState.SPLICED, ProxyState.CLOSED},
-            ProxyState.SPLICED: {ProxyState.CLOSED},
-            ProxyState.CLOSED: set(),
-        }[self.state]
-        if new_state not in allowed:
+        if new_state not in _ALLOWED_MOVES[self.state]:
             raise ValueError(f"illegal transition {self.state} -> {new_state}")
         self.state = new_state
 

@@ -6,6 +6,10 @@ SYN-ACK), the request head rides the third, and payload drains through the
 fluid transfer pools.  Controller conversations cost one interaction round
 trip; rule installation lands after its own delay, so a proxy can genuinely
 dial before its session rules are active and eat a retry.
+
+Each actor is one generator process on the event loop (``EventLoop.spawn``):
+every client GET and every prefetch runs ``fetch`` start to finish, and the
+viewer runs ``DashClient.play``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .cache import CacheNode, CacheResult
-from .controller import IcnController, SteeringDeferred, SteeringResponse
+from .controller import IcnController, SteeringDeferred
 from .errors import ConfigError
 from .events import EventKind, EventLoop
 from .flows import FlowManager, InstallState, PathInstallation, tcp_header
@@ -73,6 +77,7 @@ class SimHooks:
         world.activation_eta[id(installation)] = world.loop.now + delay
 
         def do() -> None:
+            world.activation_eta.pop(id(installation), None)
             world.flows.activate(installation)
             world.loop.emit(
                 EventKind.FLOW_INSTALLED,
@@ -124,10 +129,9 @@ class SimHooks:
 
 
 class ProxyRuntime:
-    def __init__(self, endpoint_id: str, host: Host, port: int, accept_queue: int):
+    def __init__(self, endpoint_id: str, host: Host, accept_queue: int):
         self.endpoint_id = endpoint_id
         self.host = host
-        self.port = port
         self.accept_queue = accept_queue
         self.active_sessions = 0
 
@@ -141,266 +145,179 @@ class ProxyRuntime:
         self.active_sessions -= 1
 
 
-class FetchJob:
-    """One HTTP GET from a requester host, steered by whatever rules exist."""
+def fetch(
+    world: "SimWorld", requester: Host, url_path: str, hostname: str, role: str, dst_port: int = HTTP_PORT
+):
+    """One HTTP GET from a requester host, steered by whatever rules exist.
 
-    def __init__(
-        self,
-        world: "SimWorld",
-        requester: Host,
-        url_path: str,
-        hostname: str,
-        *,
-        role: str,
-        on_done,
-        dst_port: int = HTTP_PORT,
+    A generator process; a caller runs it with ``yield from`` and gets back
+    where the object came from: ``"origin"``, ``"hit"`` or ``"miss"``.
+    """
+    loop = world.loop
+    src_port = world.next_port()
+    dst_host = world.host_for_hostname(hostname)
+    if dst_host is None:
+        raise ConfigError(f"no host serves {hostname!r}")
+
+    def syn_header(src: Host) -> dict[str, object]:
+        return tcp_header(src.mac, src.ip, src_port, dst_host.mac, dst_host.ip, dst_port)
+
+    wait = world.pair_path_wait(requester, dst_host, dst_port)
+    if wait is not None:
+        yield wait
+    walk = world.flows.packet_walk(requester, syn_header(requester))
+    if walk.delivered_to is None:
+        raise RuntimeError(f"SYN from {requester.host_id} to {dst_host.host_id} lost: {walk.reason}")
+    acceptor = world.topology.host(walk.delivered_to)
+    one_way = world.topology.host_latency(requester.host_id, acceptor.host_id)
+    proxy = world.proxy_runtimes.get(acceptor.ip)
+    if proxy is None:
+        # No middlebox in the way; the request head lands at the server.
+        yield 3.0 * one_way
+        return (yield from _serve(world, acceptor, requester, None, dst_host, url_path, role))
+
+    ids = {"proxy": proxy.endpoint_id, "client": requester.ip, "sport": src_port}
+
+    def accepted() -> None:
+        if not proxy.accept():
+            raise RuntimeError(f"{proxy.endpoint_id} accept queue overflow")
+        loop.emit(EventKind.PROXY_ACCEPT, ids)
+
+    loop.schedule(one_way, accepted)
+    yield 3.0 * one_way
+
+    # Delayed binding: read the head, ask the controller, then dial.
+    session = ProxySession((requester.ip, src_port, dst_host.ip, dst_port, 6), requester.mac)
+    notification = session.on_client_request(f"GET {url_path} HTTP/1.1\r\nHost: {hostname}\r\n\r\n")
+    notified_at = loop.now
+    loop.emit(EventKind.PROXY_NOTIFY, {**ids, "uri": notification.uri})
+    yield world.hooks.interaction_ms() / 2.0
+    deferrals = 0
+    while isinstance(
+        response := world.controller.handle_proxy_request(notification, proxy.endpoint_id),
+        SteeringDeferred,
     ):
-        self.world = world
-        self.requester = requester
-        self.url_path = url_path
-        self.hostname = hostname
-        self.role = role
-        self.on_done = on_done
-        self.dst_port = dst_port
-        self.src_port = world.next_port()
-        self.dst_host = world.host_for_hostname(hostname)
-        if self.dst_host is None:
-            raise ConfigError(f"no host serves {hostname!r}")
-        self.proxy: ProxyRuntime | None = None
-        self.session: ProxySession | None = None
-        self.response: SteeringResponse | None = None
-        self.notified_at = 0.0
-        self.deferrals = 0
-        self.attempt = 0
-        world.ensure_pair_path(requester, self.dst_host, dst_port, self._connect)
+        deferrals += 1
+        yield max(response.ready_at_ms - loop.now, 0.1)
+    yield world.hooks.interaction_ms() / 2.0
 
-    # -- connection establishment ---------------------------------------------
-
-    def _syn_header(self, src: Host, src_port: int) -> dict[str, object]:
-        return tcp_header(
-            src.mac, src.ip, src_port, self.dst_host.mac, self.dst_host.ip, self.dst_port
-        )
-
-    def _connect(self) -> None:
-        world = self.world
-        walk = world.flows.packet_walk(self.requester, self._syn_header(self.requester, self.src_port))
-        if walk.delivered_to is None:
-            raise RuntimeError(
-                f"SYN from {self.requester.host_id} to {self.dst_host.host_id} lost: {walk.reason}"
-            )
-        acceptor = world.topology.host(walk.delivered_to)
-        one_way = world.topology.host_latency(self.requester.host_id, acceptor.host_id)
-        proxy = world.proxy_runtimes.get(acceptor.ip)
-        if proxy is not None:
-            self.proxy = proxy
-            world.loop.schedule(one_way, self._proxy_accept)
-            world.loop.schedule(3.0 * one_way, self._proxy_read_head)
-        else:
-            # No middlebox in the way; the request head lands at the server.
-            world.loop.schedule(3.0 * one_way, lambda: self._serve_at(acceptor))
-
-    # -- delayed binding --------------------------------------------------------
-
-    def _proxy_accept(self) -> None:
-        if not self.proxy.accept():
-            raise RuntimeError(f"{self.proxy.endpoint_id} accept queue overflow")
-        self.world.loop.emit(
-            EventKind.PROXY_ACCEPT,
-            {"proxy": self.proxy.endpoint_id, "client": self.requester.ip, "sport": self.src_port},
-        )
-
-    def _proxy_read_head(self) -> None:
-        world = self.world
-        self.session = ProxySession(
-            (self.requester.ip, self.src_port, self.dst_host.ip, self.dst_port, 6),
-            self.requester.mac,
-        )
-        raw_head = f"GET {self.url_path} HTTP/1.1\r\nHost: {self.hostname}\r\n\r\n"
-        notification = self.session.on_client_request(raw_head)
-        self.notified_at = world.loop.now
-        world.loop.emit(
-            EventKind.PROXY_NOTIFY,
-            {
-                "proxy": self.proxy.endpoint_id,
-                "uri": notification.uri,
-                "client": notification.source_ip,
-                "sport": notification.source_port,
-            },
-        )
-        world.loop.schedule(world.hooks.interaction_ms() / 2.0, lambda: self._ask_controller(notification))
-
-    def _ask_controller(self, notification) -> None:
-        world = self.world
-        outcome = world.controller.handle_proxy_request(notification, self.proxy.endpoint_id)
-        if isinstance(outcome, SteeringDeferred):
-            self.deferrals += 1
-            delay = max(outcome.ready_at_ms - world.loop.now, 0.1)
-            world.loop.schedule(delay, lambda: self._ask_controller(notification))
-            return
-        world.loop.schedule(world.hooks.interaction_ms() / 2.0, lambda: self._steered(outcome))
-
-    def _steered(self, response: SteeringResponse) -> None:
-        world = self.world
-        self.response = response
-        self.session.mark_steered()
-        world.loop.emit(
-            EventKind.CTRL_RESPONSE,
-            {
-                "proxy": self.proxy.endpoint_id,
-                "client": self.requester.ip,
-                "sport": self.src_port,
-                "elapsed_ms": round(world.loop.now - self.notified_at, 6),
-                "decision": response.decision_token,
-                "cache": response.cache_id,
-                "default_gateway": response.default_gateway,
-                "deferrals": self.deferrals,
-            },
-        )
-        offsets = attempt_offsets(
-            initial_ms=world.config.proxy_params.initial_backoff_ms,
-            factor=world.config.proxy_params.backoff_factor,
-            max_retries=world.config.proxy_params.max_retries,
-        )
-        self._offsets = offsets
-        self._dial_base = world.loop.now
-        self._dial()
-
-    def _dial(self) -> None:
-        world = self.world
-        response = self.response
+    session.mark_steered()
+    loop.emit(
+        EventKind.CTRL_RESPONSE,
+        {
+            **ids,
+            "elapsed_ms": round(loop.now - notified_at, 6),
+            "decision": response.decision_token,
+            "cache": response.cache_id,
+            "default_gateway": response.default_gateway,
+            "deferrals": deferrals,
+        },
+    )
+    params = world.config.proxy_params
+    offsets = attempt_offsets(params.initial_backoff_ms, params.backoff_factor, params.max_retries)
+    dial_base = loop.now
+    for attempt, offset in enumerate(offsets):
+        if attempt:
+            yield max(dial_base + offset - loop.now, 0.0)
         rules_ready = response.default_gateway or (
             response.installation is not None
             and response.installation.state is InstallState.ACTIVE
         )
-        world.loop.emit(
-            EventKind.CONNECT_ATTEMPT,
-            {
-                "proxy": self.proxy.endpoint_id,
-                "client": self.requester.ip,
-                "sport": self.src_port,
-                "attempt": self.attempt,
-                "ok": rules_ready,
-            },
-        )
-        if not rules_ready:
-            self.attempt += 1
-            if self.attempt >= len(self._offsets):
-                self.session.close()
-                raise RuntimeError(
-                    f"upstream connect for {self.url_path} failed after {self.attempt} attempts"
-                )
-            delay = self._dial_base + self._offsets[self.attempt] - world.loop.now
-            world.loop.schedule(max(delay, 0.0), self._dial)
-            return
-        # The SYN the proxy sends carries the virtual destination; the rules
-        # decide where it really lands.
-        walk = world.flows.packet_walk(
-            self.proxy.host, self._syn_header(self.proxy.host, self.src_port)
-        )
-        if walk.delivered_to is None:
-            raise RuntimeError(f"proxy SYN for {self.url_path} lost: {walk.reason}")
-        target = world.topology.host(walk.delivered_to)
-        if response.cache_id is not None:
-            expected_ip = world.registry.endpoints[response.cache_id].ip
-            if target.ip != expected_ip:
-                raise RuntimeError(
-                    f"steering mismatch: {self.url_path} landed on {target.ip}, wanted {expected_ip}"
-                )
-        one_way = world.topology.host_latency(self.proxy.host.host_id, target.host_id)
-        world.loop.schedule(2.0 * one_way, self._spliced)
-        world.loop.schedule(3.0 * one_way, lambda: self._serve_at(target))
+        loop.emit(EventKind.CONNECT_ATTEMPT, {**ids, "attempt": attempt, "ok": rules_ready})
+        if rules_ready:
+            break
+    else:
+        session.close()
+        raise RuntimeError(f"upstream connect for {url_path} failed after {len(offsets)} attempts")
 
-    def _spliced(self) -> None:
-        self.session.mark_spliced()
-        self.world.loop.emit(
-            EventKind.SPLICE_ESTABLISHED,
-            {
-                "proxy": self.proxy.endpoint_id,
-                "client": self.requester.ip,
-                "sport": self.src_port,
-                "attempts": self.attempt + 1,
-            },
-        )
+    # The SYN the proxy sends carries the virtual destination; the rules
+    # decide where it really lands.
+    walk = world.flows.packet_walk(proxy.host, syn_header(proxy.host))
+    if walk.delivered_to is None:
+        raise RuntimeError(f"proxy SYN for {url_path} lost: {walk.reason}")
+    target = world.topology.host(walk.delivered_to)
+    if response.cache_id is not None:
+        expected_ip = world.registry.endpoints[response.cache_id].ip
+        if target.ip != expected_ip:
+            raise RuntimeError(
+                f"steering mismatch: {url_path} landed on {target.ip}, wanted {expected_ip}"
+            )
+    one_way = world.topology.host_latency(proxy.host.host_id, target.host_id)
 
-    # -- serving -----------------------------------------------------------------
+    def spliced() -> None:
+        session.mark_spliced()
+        loop.emit(EventKind.SPLICE_ESTABLISHED, {**ids, "attempts": attempt + 1})
 
-    def _serve_at(self, target: Host) -> None:
-        world = self.world
-        cache_node = world.cache_by_ip.get(target.ip)
-        size = world.catalog.get(self.url_path)
-        if size is None:
-            raise RuntimeError(f"origin has no object {self.url_path}")
-        if cache_node is None:
-            self._respond_from(target, size, outcome="origin")
-            return
-        result = cache_node.serve(self.url_path)
-        match = world.classify(self.url_path)
-        world.loop.emit(
+    loop.schedule(2.0 * one_way, spliced)
+    yield 3.0 * one_way
+    outcome = yield from _serve(world, target, requester, proxy.host, dst_host, url_path, role)
+
+    session.close()
+    proxy.release()
+    if response.installation is not None:
+        world.flows.teardown(response.installation)
+    loop.emit(EventKind.SESSION_CLOSED, ids)
+    return outcome
+
+
+def _serve(
+    world: "SimWorld", server: Host, requester: Host, proxy_host: Host | None,
+    origin: Host, url_path: str, role: str,
+):
+    """The server's side of a GET: look up, pull from the origin on a miss, respond."""
+    loop = world.loop
+    size = world.catalog.get(url_path)
+    if size is None:
+        raise RuntimeError(f"origin has no object {url_path}")
+    cache_node = world.cache_by_ip.get(server.ip)
+    if cache_node is None:
+        outcome = "origin"
+    else:
+        result = cache_node.serve(url_path)
+        layer, segment = world.manifest.url_index.get(url_path, (None, None))
+        loop.emit(
             EventKind.CACHE_SERVE,
             {
                 "cache": cache_node.cache_id,
-                "url": self.url_path,
+                "url": url_path,
                 "result": result.value,
-                "requester": self.role,
-                "repr": match[0],
-                "seg": match[1],
+                "requester": role,
+                "repr": layer,
+                "seg": segment,
             },
         )
-        if result is CacheResult.HIT:
-            self._respond_from(target, size, outcome="hit")
-            return
-        # Miss: the cache pulls the object from the origin first, stores it if
+        outcome = "hit" if result is CacheResult.HIT else "miss"
+    if outcome == "miss":
+        # The cache pulls the object from the origin first, stores it if
         # admission allowed, then serves it on.
-        world.loop.emit(EventKind.ORIGIN_FETCH, {"url": self.url_path, "by": cache_node.cache_id})
-        origin = world.host_for_hostname(self.hostname)
-        pull_setup = 3.0 * world.topology.host_latency(target.host_id, origin.host_id)
+        loop.emit(EventKind.ORIGIN_FETCH, {"url": url_path, "by": cache_node.cache_id})
+        pull_setup = 3.0 * world.topology.host_latency(server.host_id, origin.host_id)
+        wait = world.pair_path_wait(server, origin, HTTP_PORT)
+        if wait is not None:
+            yield wait
+        yield pull_setup
+        pull = host_path(world.topology, origin, server)
+        yield lambda resume: world.transfers.start(pull, size, resume)
+        if result is CacheResult.MISS_FILLED:
+            cache_node.complete_fill(url_path, size)
 
-        def pulled() -> None:
-            if result is CacheResult.MISS_FILLED:
-                cache_node.complete_fill(self.url_path, size)
-            self._respond_from(target, size, outcome="miss")
-
-        def pull() -> None:
-            world.transfers.start(host_path(world.topology, origin, target), size, pulled)
-
-        world.ensure_pair_path(target, origin, HTTP_PORT, lambda: world.loop.schedule(pull_setup, pull))
-
-    def _respond_from(self, server: Host, size: int, outcome: str) -> None:
-        world = self.world
-        path = host_path(world.topology, server, self.requester)
-        if self.proxy is not None and server.ip != self.proxy.host.ip:
-            path = host_path(world.topology, server, self.proxy.host).extended(
-                host_path(world.topology, self.proxy.host, self.requester)
-            )
-        started = world.loop.now
-
-        def delivered() -> None:
-            world.loop.emit(
-                EventKind.TRANSFER_COMPLETE,
-                {
-                    "url": self.url_path,
-                    "bytes": size,
-                    "ms": round(world.loop.now - started, 6),
-                    "to": self.requester.host_id,
-                },
-            )
-            self._close(outcome)
-
-        world.transfers.start(path, size, delivered)
-
-    def _close(self, outcome: str) -> None:
-        world = self.world
-        if self.session is not None:
-            self.session.close()
-        if self.proxy is not None:
-            self.proxy.release()
-            if self.response is not None and self.response.installation is not None:
-                world.flows.teardown(self.response.installation)
-            world.loop.emit(
-                EventKind.SESSION_CLOSED,
-                {"proxy": self.proxy.endpoint_id, "client": self.requester.ip, "sport": self.src_port},
-            )
-        self.on_done(outcome)
+    path = host_path(world.topology, server, requester)
+    if proxy_host is not None and server.ip != proxy_host.ip:
+        path = host_path(world.topology, server, proxy_host).extended(
+            host_path(world.topology, proxy_host, requester)
+        )
+    started = loop.now
+    yield lambda resume: world.transfers.start(path, size, resume)
+    loop.emit(
+        EventKind.TRANSFER_COMPLETE,
+        {
+            "url": url_path,
+            "bytes": size,
+            "ms": round(loop.now - started, 6),
+            "to": requester.host_id,
+        },
+    )
+    return outcome
 
 
 class DashClient:
@@ -410,80 +327,53 @@ class DashClient:
         self.world = world
         self.host = host
         self.repr_id = representation
-        self.manifest: MpdManifest | None = None
-        self.chain: list[int] = []
         self.playback_start_ms: float | None = None
-        self.video_end_ms: float | None = None
-        self.last_chunk_ms = 0.0
-        self.finished = False
+        self.video_end_ms: float | None = None  # set when the last segment is in
 
-    def start(self) -> None:
+    def play(self):
+        """The viewer's process: the MPD, then every layer of every segment in turn."""
         world = self.world
-        world.loop.emit(
-            EventKind.CLIENT_REQUEST, {"url": world.mpd_path, "repr": None, "seg": None}
+        loop = world.loop
+        loop.emit(EventKind.CLIENT_REQUEST, {"url": world.mpd_path, "repr": None, "seg": None})
+        started = loop.now
+        yield from fetch(world, self.host, world.mpd_path, world.origin_hostname, "client")
+        manifest = world.manifest
+        chain = resolve_chain(manifest, self.repr_id)
+        loop.emit(
+            EventKind.MPD_RETRIEVED,
+            {"elapsed_ms": round(loop.now - started, 6), "layers": chain},
         )
-        started = world.loop.now
+        yield world.config.client.startup_delay_s * 1000.0
 
-        def mpd_done(_outcome: str) -> None:
-            self.manifest = world.manifest
-            self.chain = resolve_chain(self.manifest, self.repr_id)
-            world.loop.emit(
-                EventKind.MPD_RETRIEVED,
-                {"elapsed_ms": round(world.loop.now - started, 6), "layers": self.chain},
-            )
-            world.loop.schedule(
-                world.config.client.startup_delay_s * 1000.0,
-                lambda: self._request_segment(self.manifest.start_number),
-            )
-
-        FetchJob(world, self.host, world.mpd_path, world.origin_hostname, role="client", on_done=mpd_done)
-
-    def _request_segment(self, segment: int) -> None:
-        self._request_layer(segment, 0)
-
-    def _request_layer(self, segment: int, index: int) -> None:
-        world = self.world
-        layer = self.chain[index]
-        url = self.manifest.segment_url(layer, segment)
-        world.loop.emit(EventKind.CLIENT_REQUEST, {"url": url, "repr": layer, "seg": segment})
-        started = world.loop.now
-
-        def chunk_done(outcome: str) -> None:
-            world.loop.emit(
-                EventKind.CHUNK_DONE,
-                {
-                    "url": url,
-                    "repr": layer,
-                    "seg": segment,
-                    "elapsed_ms": round(world.loop.now - started, 6),
-                    "source": outcome,
-                },
-            )
-            self.last_chunk_ms = world.loop.now
-            if index + 1 < len(self.chain):
-                self._request_layer(segment, index + 1)
-            else:
-                self._segment_complete(segment)
-
-        FetchJob(world, self.host, url, world.origin_hostname, role="client", on_done=chunk_done)
-
-    def _segment_complete(self, segment: int) -> None:
-        world = self.world
-        manifest = self.manifest
-        if self.playback_start_ms is None:
-            self.playback_start_ms = world.loop.now
+        segment_ms = manifest.segment_duration_s * 1000.0
         last_segment = manifest.start_number + manifest.segment_count - 1
-        if segment >= last_segment:
-            scheduled_end = self.playback_start_ms + manifest.segment_count * manifest.segment_duration_s * 1000.0
-            self.video_end_ms = max(scheduled_end, self.last_chunk_ms)
-            self.finished = True
-            return
-        # Stay buffer_ahead segments in front of the playhead, never further.
-        window_opens = self.playback_start_ms + (
-            (segment + 1 - manifest.start_number) - world.config.client.buffer_ahead_segments
-        ) * manifest.segment_duration_s * 1000.0
-        delay = max(0.0, window_opens - world.loop.now)
-        world.loop.schedule(delay, lambda: self._request_segment(segment + 1))
+        for segment in itertools.count(manifest.start_number):
+            for layer in chain:
+                url = manifest.segment_url(layer, segment)
+                loop.emit(EventKind.CLIENT_REQUEST, {"url": url, "repr": layer, "seg": segment})
+                started = loop.now
+                outcome = yield from fetch(world, self.host, url, world.origin_hostname, "client")
+                loop.emit(
+                    EventKind.CHUNK_DONE,
+                    {
+                        "url": url,
+                        "repr": layer,
+                        "seg": segment,
+                        "elapsed_ms": round(loop.now - started, 6),
+                        "source": outcome,
+                    },
+                )
+            if self.playback_start_ms is None:
+                self.playback_start_ms = loop.now
+            if segment >= last_segment:
+                scheduled_end = self.playback_start_ms + manifest.segment_count * segment_ms
+                self.video_end_ms = max(scheduled_end, loop.now)
+                return
+            # Stay buffer_ahead segments in front of the playhead, never further.
+            window_opens = self.playback_start_ms + (
+                (segment + 1 - manifest.start_number) - world.config.client.buffer_ahead_segments
+            ) * segment_ms
+            yield max(0.0, window_opens - loop.now)
 
 
 class PrefetcherRuntime:
@@ -496,14 +386,12 @@ class PrefetcherRuntime:
         self.queue: deque = deque()
         self.in_flight = 0
         self.completed = 0
-        self.started = False
-        self.start_at_ms = 0.0
+        self.start_at_ms: float | None = None
 
     def receive(self, command) -> None:
         world = self.world
         self.queue.append(command)
-        if not self.started:
-            self.started = True
+        if self.start_at_ms is None:
             warmup_ms = world.rng_prefetch.uniform(*world.config.control_params.prefetch_warmup_s) * 1000.0
             self.start_at_ms = world.loop.now + warmup_ms
             world.loop.schedule(warmup_ms, self._pump)
@@ -511,31 +399,26 @@ class PrefetcherRuntime:
             self._pump()
 
     def _pump(self) -> None:
-        world = self.world
-        parallelism = world.config.control_params.prefetch_parallelism
+        parallelism = self.world.config.control_params.prefetch_parallelism
         while self.in_flight < parallelism and self.queue:
-            command = self.queue.popleft()
             self.in_flight += 1
-            started = world.loop.now
-            url_path = _url_path(command.uri)
+            self.world.loop.spawn(self._prefetch(self.queue.popleft()))
 
-            def done(outcome: str, _url=url_path, _t0=started) -> None:
-                self.in_flight -= 1
-                self.completed += 1
-                world.loop.emit(
-                    EventKind.PREFETCH_DONE,
-                    {
-                        "uri": _url,
-                        "outcome": outcome,
-                        "elapsed_ms": round(world.loop.now - _t0, 6),
-                    },
-                )
-                if self.queue:
-                    self._pump()
-                elif self.in_flight == 0:
-                    world.loop.emit(EventKind.PREFETCH_IDLE, {"completed": self.completed})
-
-            FetchJob(world, self.host, url_path, command.server, role="prefetcher", on_done=done, dst_port=command.port)
+    def _prefetch(self, command):
+        world = self.world
+        started = world.loop.now
+        url_path = _url_path(command.uri)
+        outcome = yield from fetch(world, self.host, url_path, command.server, "prefetcher", command.port)
+        self.in_flight -= 1
+        self.completed += 1
+        world.loop.emit(
+            EventKind.PREFETCH_DONE,
+            {"uri": url_path, "outcome": outcome, "elapsed_ms": round(world.loop.now - started, 6)},
+        )
+        if self.queue:
+            self._pump()
+        elif self.in_flight == 0:
+            world.loop.emit(EventKind.PREFETCH_IDLE, {"completed": self.completed})
 
 
 class SimWorld:
@@ -617,7 +500,7 @@ class SimWorld:
                 },
             )
             self.proxy_runtimes[host.ip] = ProxyRuntime(
-                endpoint_id, host, proxy_spec.port, self.config.proxy_params.accept_queue
+                endpoint_id, host, self.config.proxy_params.accept_queue
             )
 
         cache_specs = list(spec.caches)
@@ -718,37 +601,32 @@ class SimWorld:
             return runtime.host
         return None
 
-    def classify(self, url_path: str) -> tuple[int | None, int | None]:
-        return self.manifest.url_index.get(url_path, (None, None))
-
     def next_port(self) -> int:
         return next(self._port_seq)
 
-    def ensure_pair_path(self, requester: Host, dst: Host, dst_port: int, ready_cb) -> None:
-        """First packet between a pair may need the controller; later ones go through."""
+    def pair_path_wait(self, requester: Host, dst: Host, dst_port: int) -> float | None:
+        """How long the pair must wait before it can send, or None to send now.
+
+        The first packet between a pair may need the controller; later ones
+        go through once its rules are active.
+        """
         key = (requester.ip, dst.ip, dst_port)
         ready = self._pair_ready.get(key)
         now = self.loop.now
-        if ready is not None:
-            if now >= ready:
-                ready_cb()
-            else:
-                self.loop.schedule(ready - now, ready_cb)
-            return
-        header = tcp_header(requester.mac, requester.ip, 0, dst.mac, dst.ip, dst_port)
-        if self.flows.lookup(requester.dpid, header, requester.port) is not None:
-            self._pair_ready[key] = now
-            ready_cb()
-            return
-        self.loop.emit(
-            EventKind.PACKET_IN, {"src": requester.ip, "dst": dst.ip, "dport": dst_port}
-        )
-        installations = self.controller.handle_packet_in(requester.ip, dst.ip, dst_port)
-        ready = now + self.hooks.interaction_ms()
-        for installation in installations:
-            ready = max(ready, self.activation_eta.get(id(installation), ready))
-        self._pair_ready[key] = ready
-        self.loop.schedule(ready - now, ready_cb)
+        if ready is None:
+            header = tcp_header(requester.mac, requester.ip, 0, dst.mac, dst.ip, dst_port)
+            if self.flows.lookup(requester.dpid, header, requester.port) is not None:
+                self._pair_ready[key] = now
+                return None
+            self.loop.emit(
+                EventKind.PACKET_IN, {"src": requester.ip, "dst": dst.ip, "dport": dst_port}
+            )
+            installations = self.controller.handle_packet_in(requester.ip, dst.ip, dst_port)
+            ready = now + self.hooks.interaction_ms()
+            for installation in installations:
+                ready = max(ready, self.activation_eta.get(id(installation), ready))
+            self._pair_ready[key] = ready
+        return ready - now if now < ready else None
 
     # -- run ----------------------------------------------------------------------
 
@@ -764,9 +642,9 @@ class SimWorld:
                 "client": self.config.client.host,
             },
         )
-        self.client.start()
+        self.loop.spawn(self.client.play())
         self.loop.run(max_time_ms)
-        if not self.client.finished:
+        if self.client.video_end_ms is None:
             raise RuntimeError(f"run {self.run_index} stalled: client never finished")
         self.loop.emit(
             EventKind.RUN_END,

@@ -1,11 +1,15 @@
 import subprocess
 import sys
+from urllib.parse import urlsplit
 
 import pytest
 import yaml
 
 from conftest import SMALL_MPD
-from icnsim.cli import default_config_path, main
+from icnsim.cli import default_config_path, main, serve_controller
+from icnsim.mpd import _url_path, parse_mpd
+from icnsim.proxy import ProxyRequestNotification
+from icnsim.scenario import load_config
 
 
 @pytest.fixture()
@@ -99,3 +103,53 @@ def test_subprocess_runs_are_byte_identical(small_yaml):
     second = subprocess.run(command, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"case,total,hit,miss,hit_ratio\n")
+
+
+def test_serve_controller_ingests_the_configured_manifest():
+    config = load_config(default_config_path())
+    topology = config.topology
+    controller = serve_controller(config)
+    dispatched = []
+    # Record prefetch commands instead of POSTing them to the prefetcher's address.
+    controller.hooks.dispatch_prefetch = lambda _prefetcher, command: dispatched.append(command) or True
+
+    def create(path, params):
+        status, body = controller.handle_management_request("POST", f"onos/icn/{path}", params)
+        assert status == 201, body
+        return body["id"]
+
+    spec = config.registry
+    instance = create("icn", {"name": spec.instance_name, "type": "DISTRIBUTED_SVC_PREFETCH"})
+
+    def endpoint(path, port_key, entry):
+        host = topology.host(entry.host)
+        return create(path, {
+            "instance": instance, "mac": host.mac, "ip": host.ip, port_key: entry.port,
+            "location": {"dpid": host.dpid, "port": host.port}, "type": entry.endpoint_type,
+        })
+
+    proxy_id = endpoint("proxy", "proxy_port", spec.proxies[0])
+    for entry in spec.caches:
+        endpoint("cache", "port", entry)
+    endpoint("prefetch", "prefetch_port", spec.prefetchers[0])
+    for provider in spec.providers:
+        create("provider", {"instance": instance, "name": provider.name, "network": provider.network,
+                            "uripattern": provider.uri_pattern, "hostpattern": provider.host_pattern})
+
+    client = topology.host(config.client.host)
+    hostname = urlsplit(config.mpd_url).hostname
+    origin = topology.host(config.hostnames[hostname])
+
+    def ask(uri, sport):
+        return controller.handle_proxy_request(ProxyRequestNotification(
+            uri=uri, hostname=hostname, smac=client.mac, source_ip=client.ip,
+            destination_ip=origin.ip, protocol=6, source_port=sport, destination_port=80,
+        ), proxy_id)
+
+    mpd_path = _url_path(config.mpd_url)
+    manifest = parse_mpd(config.mpd_bytes(), mpd_path)
+    ask(mpd_path, 34000)
+    response = ask(manifest.segment_url(33, manifest.start_number), 34001)
+    near, far = controller.registry.ordered_caches(instance, client.attachment)
+    assert response.cache_id == far.endpoint_id != near.endpoint_id
+    assert dispatched

@@ -175,3 +175,84 @@ def test_extended_concatenates_paths():
     joined = a.extended(b)
     assert [s.key for s in joined.segments] == ["x", "y"]
     assert joined.latency_ms == 3.0
+
+
+def test_spawn_resumes_after_a_yielded_delay():
+    loop = EventLoop()
+    woke = []
+
+    def sleeper():
+        woke.append(loop.now)
+        yield 7.5
+        woke.append(loop.now)
+        yield 2.5
+        woke.append(loop.now)
+
+    loop.schedule(3.0, lambda: loop.spawn(sleeper()))
+    loop.run()
+    assert woke == [3.0, 10.5, 13.0]
+
+
+def test_spawn_resumes_when_a_transfer_completes():
+    loop = EventLoop()
+    manager = TransferManager(loop)
+    woke = []
+
+    def downloader():
+        yield lambda resume: manager.start(single_link_path(), MB, resume)
+        woke.append(loop.now)
+
+    loop.spawn(downloader())
+    assert woke == []  # nothing ran past the wait before the loop did
+    loop.run()
+    assert woke == [pytest.approx(1010.0)]
+    assert manager.active_count() == 0
+
+
+def test_spawn_yield_from_returns_the_sub_process_value():
+    loop = EventLoop()
+    got = []
+
+    def child(value):
+        yield 1.0
+        return value * 2
+
+    def parent():
+        got.append((yield from child(21)))
+        got.append(loop.now)
+
+    loop.spawn(parent())
+    loop.run()
+    assert got == [42, 1.0]
+
+
+def test_spawn_schedules_a_zero_delay_behind_earlier_work():
+    loop = EventLoop()
+    order = []
+
+    def process():
+        order.append("process starts")
+        yield 0.0
+        order.append("process resumes")
+
+    def kick_off():
+        loop.schedule(0.0, lambda: order.append("scheduled earlier"))
+        loop.spawn(process())
+
+    loop.schedule(5.0, kick_off)
+    loop.run()
+    assert order == ["process starts", "scheduled earlier", "process resumes"]
+    assert loop.now == 5.0
+
+
+def test_spawn_exception_propagates_out_of_run():
+    loop = EventLoop()
+
+    def failing():
+        yield 1.0
+        raise RuntimeError("process failed")
+
+    loop.spawn(failing())
+    with pytest.raises(RuntimeError, match="process failed"):
+        loop.run()
+    assert loop.now == 1.0

@@ -1,4 +1,6 @@
+import importlib.util
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,15 @@ SPINE = [0, 1, 2, 16, 17, 18, 32, 33, 34, 48, 49]
 def bbb():
     text = resources.files("icnsim.data").joinpath("bbb_svc_50.mpd").read_bytes()
     return parse_mpd(text, MPD_URL)
+
+
+def test_generator_reproduces_the_packaged_manifest():
+    script = Path(__file__).resolve().parents[1] / "tools" / "gen_manifest.py"
+    spec = importlib.util.spec_from_file_location("gen_manifest", script)
+    gen_manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_manifest)  # the __main__ guard keeps it from writing
+    packaged = resources.files("icnsim.data").joinpath("bbb_svc_50.mpd").read_bytes()
+    assert gen_manifest.build().encode("utf-8") == packaged
 
 
 def test_fixture_shape(bbb):

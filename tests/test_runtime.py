@@ -133,3 +133,10 @@ def test_cache_warm_state_differs_between_scenarios(small_config):
     assert sum(len(c) for c in full.caches.values()) > 0
     empty = SimWorld(small_config, ScenarioKind.EMPTY_CACHE, 0, 1)
     assert sum(len(c) for c in empty.caches.values()) == 0
+
+
+def test_activation_etas_are_dropped_once_rules_are_active(small_config):
+    for kind in ScenarioKind:
+        world = SimWorld(small_config, kind, 0, 1)
+        world.execute()
+        assert world.activation_eta == {}, kind
