@@ -9,14 +9,15 @@ ingested and upcoming segments pushed toward caches.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from . import mpd as mpdmod
-from .errors import IcnError, UnknownInstance
+from .errors import IcnError, MpdError, UnknownInstance
 from .flows import FlowManager, PathInstallation
 from .mpd import MpdManifest, UrlKind, classify_url, is_mpd_url, parse_mpd
-from .prefetch import AllocationMap, allocate_layers, plan_prefetch
+from .prefetch import AllocationMap, PlannedSpans, allocate_layers, plan_prefetch
 from .proxy import ProxyRequestNotification
 from .registry import EndpointRole, IcnInstance, IcnRegistry, NetworkEndpoint
 from .topology import Host, Topology
@@ -38,7 +39,9 @@ class ControlHooks(Protocol):
 
     def activate_installation(self, installation: PathInstallation) -> None: ...
 
-    def fetch_mpd(self, url_path: str, hostname: str, done: Callable[[bytes | None], None]) -> None: ...
+    def fetch_mpd(
+        self, url_path: str, hostname: str, done: Callable[[MpdManifest | None], None]
+    ) -> None: ...
 
     def dispatch_prefetch(self, prefetcher: NetworkEndpoint, command) -> bool: ...
 
@@ -63,8 +66,18 @@ class ImmediateHooks:
         if self._flows is not None:
             self._flows.activate(installation)
 
-    def fetch_mpd(self, url_path: str, hostname: str, done: Callable[[bytes | None], None]) -> None:
-        done(self._fetcher(url_path, hostname) if self._fetcher else None)
+    def fetch_mpd(
+        self, url_path: str, hostname: str, done: Callable[[MpdManifest | None], None]
+    ) -> None:
+        """Parse what the fetcher returns; no payload or one that fails to parse is ``None``."""
+        payload = self._fetcher(url_path, hostname) if self._fetcher else None
+        manifest = None
+        if payload is not None:
+            try:
+                manifest = parse_mpd(payload, url_path)
+            except (MpdError, ValueError):  # ValueError: a non-numeric attribute
+                pass
+        done(manifest)
 
     def dispatch_prefetch(self, prefetcher: NetworkEndpoint, command) -> bool:
         return False
@@ -99,7 +112,7 @@ class InstanceState:
     pending_manifests: set[str] = field(default_factory=set)
     manifest_ready_at: dict[str, float] = field(default_factory=dict)
     allocation: AllocationMap | None = None
-    planned_uris: dict[str, set[str]] = field(default_factory=dict)
+    planned: dict[tuple[str, str], PlannedSpans] = field(default_factory=dict)  # by (viewer ip, mpd path)
 
 
 def endpoint_host(endpoint: NetworkEndpoint) -> Host:
@@ -126,6 +139,9 @@ class IcnController:
         self.lookahead = lookahead
         self.state: dict[str, InstanceState] = {}
         self._token_seq = 0
+        # Live handler threads share one controller; every entry point holds
+        # this lock.  Reentrant, so a hook may call back into the controller.
+        self._lock = threading.RLock()
 
     @property
     def topology(self) -> Topology:
@@ -144,10 +160,11 @@ class IcnController:
         """REST-shaped entry point shared by the HTTP service and the simulator."""
         path = path.strip("/")
         try:
-            if method.upper() == "POST":
-                return self._handle_create(path, params)
-            if method.upper() == "DELETE":
-                return self._handle_delete(path)
+            with self._lock:
+                if method.upper() == "POST":
+                    return self._handle_create(path, params)
+                if method.upper() == "DELETE":
+                    return self._handle_delete(path)
         except IcnError as exc:
             status = 404 if isinstance(exc, (UnknownInstance,)) else 400
             if type(exc).__name__ == "DuplicateAddress":
@@ -221,41 +238,42 @@ class IcnController:
 
     def handle_packet_in(self, src_ip: str, dst_ip: str, dst_port: int) -> list[PathInstallation]:
         """First packet of a flow with no rules: redirect it or route it."""
-        installations: list[PathInstallation] = []
-        src_host = self.topology.host_by_ip(src_ip)
-        dst_host = self.topology.host_by_ip(dst_ip)
-        if src_host is None:
+        with self._lock:
+            installations: list[PathInstallation] = []
+            src_host = self.topology.host_by_ip(src_ip)
+            dst_host = self.topology.host_by_ip(dst_ip)
+            if src_host is None:
+                return installations
+            infrastructure = {
+                ep.ip
+                for ep in self.registry.endpoints.values()
+                if ep.role in (EndpointRole.PROXY, EndpointRole.CACHE)
+            }
+            proxies = [
+                ep for ep in sorted(self.registry.endpoints.values(), key=lambda e: e.endpoint_id)
+                if ep.role is EndpointRole.PROXY
+            ]
+            if dst_port == 80 and proxies and src_ip not in infrastructure:
+                nearest = min(
+                    proxies,
+                    key=lambda ep: (
+                        self.topology.switch_path_latency(src_host.dpid, ep.location[0]),
+                        ep.endpoint_id,
+                    ),
+                )
+                dst_mac = dst_host.mac if dst_host else "00:00:00:00:00:00"
+                installation = self.flows.install_redirect_to_proxy(
+                    src_host,
+                    (dst_mac, dst_ip, dst_port),
+                    endpoint_host(nearest),
+                    nearest.port,
+                )
+                installations.append(installation)
+            elif dst_host is not None:
+                installations.append(self.flows.install_default_route(src_host, dst_host))
+            for installation in installations:
+                self.hooks.activate_installation(installation)
             return installations
-        infrastructure = {
-            ep.ip
-            for ep in self.registry.endpoints.values()
-            if ep.role in (EndpointRole.PROXY, EndpointRole.CACHE)
-        }
-        proxies = [
-            ep for ep in sorted(self.registry.endpoints.values(), key=lambda e: e.endpoint_id)
-            if ep.role is EndpointRole.PROXY
-        ]
-        if dst_port == 80 and proxies and src_ip not in infrastructure:
-            nearest = min(
-                proxies,
-                key=lambda ep: (
-                    self.topology.switch_path_latency(src_host.dpid, ep.location[0]),
-                    ep.endpoint_id,
-                ),
-            )
-            dst_mac = dst_host.mac if dst_host else "00:00:00:00:00:00"
-            installation = self.flows.install_redirect_to_proxy(
-                src_host,
-                (dst_mac, dst_ip, dst_port),
-                endpoint_host(nearest),
-                nearest.port,
-            )
-            installations.append(installation)
-        elif dst_host is not None:
-            installations.append(self.flows.install_default_route(src_host, dst_host))
-        for installation in installations:
-            self.hooks.activate_installation(installation)
-        return installations
 
     # -- steering ----------------------------------------------------------------
 
@@ -263,54 +281,55 @@ class IcnController:
         self, notification: ProxyRequestNotification, proxy_id: str | None = None
     ) -> SteeringResponse | SteeringDeferred:
         """Answer one delayed-binding notification with a dial target."""
-        matched = self.registry.match_request(
-            notification.source_ip, notification.hostname, notification.uri
-        )
-        if matched is None:
-            return self._default_gateway_response(notification)
-        instance, _provider = matched
-        caches = self.registry.instance_endpoints(instance.instance_id, EndpointRole.CACHE)
-        if not caches:
-            return self._default_gateway_response(notification)
+        with self._lock:
+            matched = self.registry.match_request(
+                notification.source_ip, notification.hostname, notification.uri
+            )
+            if matched is None:
+                return self._default_gateway_response(notification)
+            instance, _provider = matched
+            caches = self.registry.instance_endpoints(instance.instance_id, EndpointRole.CACHE)
+            if not caches:
+                return self._default_gateway_response(notification)
 
-        state = self._state(instance.instance_id)
-        path = mpdmod._url_path(notification.uri)
-        if instance.icn_type.prefetches and is_mpd_url(path):
-            self._ingest_mpd(instance, state, notification)
-        manifest, match = self._classify(state, path)
+            state = self._state(instance.instance_id)
+            path = mpdmod._url_path(notification.uri)
+            if instance.icn_type.prefetches and is_mpd_url(path):
+                self._ingest_mpd(instance, state, notification)
+            manifest, match = self._classify(state, path)
 
-        if instance.icn_type.distributed and match.kind is UrlKind.SEGMENT:
-            cache = self._allocation_cache(instance, state, match.repr_id, notification)
-        elif (
-            instance.icn_type.distributed
-            and match.kind is UrlKind.UNKNOWN
-            and state.pending_manifests
-        ):
-            # Cannot tell which layer this is yet; deciding now could pin a
-            # layer to the wrong cache, so hold the answer until analysis ends.
-            now = self.hooks.now_ms()
-            ready = max(state.manifest_ready_at.get(p, now + 20.0) for p in state.pending_manifests)
-            return SteeringDeferred(ready_at_ms=max(ready, now + 1.0))
-        else:
-            cache = self._nearest_cache(instance, notification)
+            if instance.icn_type.distributed and match.kind is UrlKind.SEGMENT:
+                cache = self._allocation_cache(instance, state, match.repr_id, notification)
+            elif (
+                instance.icn_type.distributed
+                and match.kind is UrlKind.UNKNOWN
+                and state.pending_manifests
+            ):
+                # Cannot tell which layer this is yet; deciding now could pin a
+                # layer to the wrong cache, so hold the answer until analysis ends.
+                now = self.hooks.now_ms()
+                ready = max(state.manifest_ready_at.get(p, now + 20.0) for p in state.pending_manifests)
+                return SteeringDeferred(ready_at_ms=max(ready, now + 1.0))
+            else:
+                cache = self._nearest_cache(instance, notification)
 
-        if (
-            instance.icn_type.prefetches
-            and manifest is not None
-            and match.kind is UrlKind.SEGMENT
-            and not self._from_prefetcher(instance, notification.source_ip)
-        ):
-            self._fan_out_prefetch(instance, state, manifest, match, notification)
+            if (
+                instance.icn_type.prefetches
+                and manifest is not None
+                and match.kind is UrlKind.SEGMENT
+                and not self._from_prefetcher(instance, notification.source_ip)
+            ):
+                self._fan_out_prefetch(instance, state, manifest, match, notification)
 
-        installation = self._install_session_flows(instance, notification, cache, proxy_id)
-        return SteeringResponse(
-            decision_token=self._token(f"{instance.instance_id}/{cache.endpoint_id}"),
-            connect_ip=notification.destination_ip,
-            connect_port=notification.destination_port,
-            cache_id=cache.endpoint_id,
-            instance_id=instance.instance_id,
-            installation=installation,
-        )
+            installation = self._install_session_flows(instance, notification, cache, proxy_id)
+            return SteeringResponse(
+                decision_token=self._token(f"{instance.instance_id}/{cache.endpoint_id}"),
+                connect_ip=notification.destination_ip,
+                connect_port=notification.destination_port,
+                cache_id=cache.endpoint_id,
+                instance_id=instance.instance_id,
+                installation=installation,
+            )
 
     def _default_gateway_response(self, notification: ProxyRequestNotification) -> SteeringResponse:
         return SteeringResponse(
@@ -364,13 +383,12 @@ class IcnController:
         state.pending_manifests.add(path)
         client_ip = notification.source_ip
 
-        def done(payload: bytes | None, ready_at: float | None = None) -> None:
+        def done(manifest: MpdManifest | None) -> None:
             state.pending_manifests.discard(path)
             state.manifest_ready_at.pop(path, None)
-            if payload is None:
+            if manifest is None:
                 self.hooks.log("ManifestReady", {"path": path, "ok": False})
                 return
-            manifest = parse_mpd(payload, path)
             state.manifests[path] = manifest
             if instance.icn_type.distributed:
                 ordered = self.registry.ordered_caches(
@@ -414,7 +432,7 @@ class IcnController:
             server=notification.hostname,
             port=notification.destination_port,
             lookahead=self.lookahead,
-            already_planned=state.planned_uris.setdefault(notification.source_ip, set()),
+            planned=state.planned.setdefault((notification.source_ip, manifest.mpd_path), PlannedSpans()),
         )
         for command in plan.commands:
             if not self.hooks.dispatch_prefetch(prefetcher, command):

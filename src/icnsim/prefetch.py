@@ -8,6 +8,7 @@ enhancement layers can live further away.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import UnknownRepresentation
@@ -70,6 +71,48 @@ class PrefetchPlan:
     commands: list[PrefetchCommand] = field(default_factory=list)
 
 
+class PlannedSpans:
+    """Segments already planned for one viewer of one manifest.
+
+    Per layer, a sorted list of disjoint, non-adjacent half-open segment
+    ranges ``[lo, hi)``, kept as two parallel lists of starts and ends.
+    """
+
+    def __init__(self) -> None:
+        self._spans: dict[int, tuple[list[int], list[int]]] = {}
+
+    def gaps(self, layer: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        """The parts of ``[lo, hi)`` not yet planned for ``layer``, ascending."""
+        starts, ends = self._spans.get(layer, ((), ()))
+        gaps = []
+        cursor = lo
+        index = bisect_right(starts, lo) - 1
+        if index >= 0:
+            cursor = max(cursor, ends[index])
+        index += 1
+        while cursor < hi and index < len(starts) and starts[index] < hi:
+            if starts[index] > cursor:
+                gaps.append((cursor, starts[index]))
+            cursor = ends[index]
+            index += 1
+        if cursor < hi:
+            gaps.append((cursor, hi))
+        return gaps
+
+    def add(self, layer: int, lo: int, hi: int) -> None:
+        """Mark ``[lo, hi)`` planned, merging it with every range it touches."""
+        if lo >= hi:
+            return
+        starts, ends = self._spans.setdefault(layer, ([], []))
+        first = bisect_left(ends, lo)
+        last = bisect_right(starts, hi)
+        if first < last:
+            lo = min(lo, starts[first])
+            hi = max(hi, ends[last - 1])
+        starts[first:last] = [lo]
+        ends[first:last] = [hi]
+
+
 def plan_prefetch(
     manifest: MpdManifest,
     requested_repr: int,
@@ -78,15 +121,17 @@ def plan_prefetch(
     server: str,
     port: int,
     lookahead: int | None = None,
-    already_planned: set[str] | None = None,
+    planned: PlannedSpans | None = None,
 ) -> PrefetchPlan:
     """Commands for every layer of every upcoming segment, in playback order.
 
     Segments run from the requested one forward (``lookahead`` of them, or to
     the end of the video); within a segment the lowest layer comes first.
-    URIs already planned for this session are dropped so re-requests do not
-    flood the prefetcher.  Which cache a layer lands on is decided when the
-    prefetcher's own request reaches the controller.
+    Segments already in ``planned`` (the caller's record for this viewer) are
+    skipped and the rest are added to it, so re-requests do not flood the
+    prefetcher and a request inside the planned span walks nothing.  Which
+    cache a layer lands on is decided when the prefetcher's own request
+    reaches the controller.
     """
     chain = resolve_chain(manifest, requested_repr)
     start = requested_segment
@@ -97,13 +142,17 @@ def plan_prefetch(
         raise UnknownRepresentation(
             f"segment {requested_segment} outside [{manifest.start_number}, {stop})"
         )
-    seen = already_planned if already_planned is not None else set()
-    plan = PrefetchPlan()
-    for segment in range(start, stop):
-        for layer in chain:
-            uri = manifest.segment_url(layer, segment)
-            if uri in seen:
-                continue
-            seen.add(uri)
-            plan.commands.append(PrefetchCommand(uri=uri, server=server, port=port))
-    return plan
+    if planned is None:
+        planned = PlannedSpans()
+    todo: list[tuple[int, int]] = []
+    for layer in chain:
+        for lo, hi in planned.gaps(layer, start, stop):
+            todo.extend((segment, layer) for segment in range(lo, hi))
+        planned.add(layer, start, stop)
+    todo.sort()
+    return PrefetchPlan(
+        [
+            PrefetchCommand(uri=manifest.segment_url(layer, segment), server=server, port=port)
+            for segment, layer in todo
+        ]
+    )

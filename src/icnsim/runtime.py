@@ -14,10 +14,12 @@ viewer runs ``DashClient.play``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 from urllib.parse import urlsplit
 
 from .cache import CacheNode, CacheResult
@@ -50,6 +52,18 @@ def build_catalog(manifest: MpdManifest, mpd_path: str, mpd_size: int) -> dict[s
         for url in representation.segment_urls:
             catalog[url] = size
     return catalog
+
+
+@functools.lru_cache(maxsize=4)
+def shared_content(mpd_bytes: bytes, mpd_path: str) -> tuple[MpdManifest, Mapping[str, int]]:
+    """The parsed manifest and a read-only catalog, built once per distinct MPD.
+
+    Keyed on the bytes themselves, so a config pointed at another file never
+    sees a stale manifest.  Every world built from the same MPD shares the
+    returned objects and must not change them.
+    """
+    manifest = parse_mpd(mpd_bytes, mpd_path)
+    return manifest, MappingProxyType(build_catalog(manifest, mpd_path, len(mpd_bytes)))
 
 
 class SimHooks:
@@ -107,8 +121,8 @@ class SimHooks:
             for instance_id, state in world.controller.state.items():
                 if url_path in state.pending_manifests:
                     world.controller.note_manifest_eta(instance_id, url_path, ready)
-            payload = world.mpd_bytes if url_path == world.mpd_path else None
-            world.loop.schedule(analysis_ms, lambda: done(payload))
+            manifest = world.manifest if url_path == world.mpd_path else None
+            world.loop.schedule(analysis_ms, lambda: done(manifest))
 
         world.transfers.start(host_path(world.topology, origin, fetcher), size, landed)
 
@@ -441,15 +455,13 @@ class SimWorld:
         self.rng_ctrl = random.Random(f"{seed}:ctrl")
         self.rng_prefetch = random.Random(f"{seed}:prefetch")
 
-        self.mpd_bytes = config.mpd_bytes()
         self.mpd_path = _url_path(config.mpd_url)
         self.origin_hostname = urlsplit(config.mpd_url).hostname or ""
         origin_id = config.hostnames.get(self.origin_hostname)
         if origin_id is None:
             raise ConfigError(f"no topology host mapped to {self.origin_hostname!r}")
         self.origin_host = self.topology.host(origin_id)
-        self.manifest = parse_mpd(self.mpd_bytes, self.mpd_path)
-        self.catalog = build_catalog(self.manifest, self.mpd_path, len(self.mpd_bytes))
+        self.manifest, self.catalog = shared_content(config.mpd_bytes(), self.mpd_path)
 
         self.caches: dict[str, CacheNode] = {}
         self.cache_by_ip: dict[str, CacheNode] = {}

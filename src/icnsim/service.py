@@ -201,6 +201,8 @@ class PrefetchReceiver:
 class DelayedBindingProxy:
     """Accept first, read the URL, ask the controller, only then dial upstream."""
 
+    read_timeout_s = 5.0  # a client that stalls mid-head this long gets a 408
+
     def __init__(
         self,
         listen_host: str = "127.0.0.1",
@@ -251,7 +253,7 @@ class DelayedBindingProxy:
             threading.Thread(target=self._serve, args=(conn, addr), daemon=True).start()
 
     def _read_head(self, conn: socket.socket) -> bytes:
-        conn.settimeout(5.0)
+        conn.settimeout(self.read_timeout_s)
         head = b""
         while b"\r\n\r\n" not in head and len(head) < 65536:
             chunk = conn.recv(4096)
@@ -288,7 +290,11 @@ class DelayedBindingProxy:
     def _serve(self, conn: socket.socket, addr: tuple) -> None:
         client_ip, client_port = addr[0], addr[1]
         with conn:
-            head = self._read_head(conn)
+            try:
+                head = self._read_head(conn)
+            except TimeoutError:
+                conn.sendall(b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n")
+                return
             if not head:
                 return
             try:

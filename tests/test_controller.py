@@ -6,6 +6,7 @@ from conftest import SMALL_MPD
 from helpers import line_topology
 from icnsim.controller import IcnController, SteeringDeferred, SteeringResponse
 from icnsim.flows import FlowManager, InstallState, tcp_header
+from icnsim.mpd import parse_mpd
 from icnsim.proxy import ProxyRequestNotification
 from icnsim.registry import IcnRegistry
 
@@ -20,9 +21,9 @@ HOSTNAME = "video.example.net"
 class RecordingHooks:
     """Immediate activation plus visibility into everything the controller asks for."""
 
-    def __init__(self, flows, mpd_bytes=None, hold_manifest=False):
+    def __init__(self, flows, manifest=None, hold_manifest=False):
         self.flows = flows
-        self.mpd_bytes = mpd_bytes
+        self.manifest = manifest
         self.hold_manifest = hold_manifest
         self.pending_done = []
         self.dispatched = []
@@ -39,11 +40,11 @@ class RecordingHooks:
         if self.hold_manifest:
             self.pending_done.append(done)
         else:
-            done(self.mpd_bytes)
+            done(self.manifest)
 
     def release_manifests(self):
         for done in self.pending_done:
-            done(self.mpd_bytes)
+            done(self.manifest)
         self.pending_done.clear()
 
     def dispatch_prefetch(self, prefetcher, command):
@@ -63,7 +64,7 @@ def build(icn_type="SVC_PREFETCH", hold_manifest=False, caches=("cache1", "cache
         },
     )
     flows = FlowManager(topo)
-    hooks = RecordingHooks(flows, mpd_bytes=SMALL_MPD.encode(), hold_manifest=hold_manifest)
+    hooks = RecordingHooks(flows, manifest=parse_mpd(SMALL_MPD, MPD_PATH), hold_manifest=hold_manifest)
     ctrl = IcnController(IcnRegistry(topo), flows, hooks)
     post = ctrl.handle_management_request
     assert post("POST", "onos/icn/icn", {"name": "bbb", "type": icn_type})[0] == 201

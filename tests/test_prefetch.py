@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_MPD
 from icnsim.errors import UnknownRepresentation
-from icnsim.mpd import parse_mpd
-from icnsim.prefetch import allocate_layers, plan_prefetch
+from icnsim.mpd import parse_mpd, resolve_chain
+from icnsim.prefetch import PlannedSpans, allocate_layers, plan_prefetch
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +95,54 @@ def test_plan_lookahead_caps_segments(manifest):
 
 
 def test_plan_dedups_against_caller_state(manifest):
-    seen: set[str] = set()
-    first = plan_prefetch(manifest, 1, 1, server="s", port=80, already_planned=seen)
+    planned = PlannedSpans()
+    first = plan_prefetch(manifest, 1, 1, server="s", port=80, planned=planned)
     assert len(first.commands) == 2 * 8  # chain(1) = [0, 1]
     # a later request for a higher layer only adds what is new
-    second = plan_prefetch(manifest, 2, 1, server="s", port=80, already_planned=seen)
+    second = plan_prefetch(manifest, 2, 1, server="s", port=80, planned=planned)
     assert len(second.commands) == 1 * 8
     assert {placed(manifest, cmd)[1] for cmd in second.commands} == {2}
-    assert seen == {cmd.uri for cmd in first.commands + second.commands}
+    # layers 0..2 are planned over every segment, layer 3 over none
+    assert [planned.gaps(layer, 1, 9) for layer in range(4)] == [[], [], [], [(1, 9)]]
+    assert plan_prefetch(manifest, 2, 4, server="s", port=80, planned=planned).commands == []
+
+
+def reference_plan(manifest, repr_id, segment, lookahead, seen):
+    """The full re-walk: every remaining segment, dropping URIs already in ``seen``."""
+    stop = manifest.start_number + manifest.segment_count
+    if lookahead is not None:
+        stop = min(stop, segment + lookahead)
+    uris = []
+    for number in range(segment, stop):
+        for layer in resolve_chain(manifest, repr_id):
+            uri = manifest.segment_url(layer, number)
+            if uri not in seen:
+                seen.add(uri)
+                uris.append(uri)
+    return uris
+
+
+requests = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # representation
+        st.integers(min_value=1, max_value=8),  # segment: any order, so seeks both ways
+        st.one_of(st.none(), st.integers(min_value=1, max_value=4)),  # lookahead
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(requests, min_size=1, max_size=3))
+def test_incremental_plan_matches_the_full_rewalk(manifest, viewers):
+    for sequence in viewers:
+        planned, seen = PlannedSpans(), set()
+        for repr_id, segment, lookahead in sequence:
+            plan = plan_prefetch(
+                manifest, repr_id, segment, server="s", port=80, lookahead=lookahead, planned=planned
+            )
+            expected = reference_plan(manifest, repr_id, segment, lookahead, seen)
+            assert [cmd.uri for cmd in plan.commands] == expected
 
 
 def test_plan_rejects_bad_inputs(manifest):

@@ -1,10 +1,12 @@
 """End-to-end simulator runs on a small 4-layer, 8-segment video."""
 
+from icnsim import controller, runtime
 from icnsim.events import EventKind
 from icnsim.metrics import derive_run_metrics
-from icnsim.runtime import SimWorld
+from icnsim.mpd import parse_mpd
+from icnsim.runtime import SimWorld, build_catalog
 from icnsim.scenario import ScenarioKind
-from icnsim.simulation import run_single
+from icnsim.simulation import run_single, run_suite
 
 SMALL_TOTAL = 1 + 3 * 8  # MPD plus chain(2) for every segment
 
@@ -140,3 +142,36 @@ def test_activation_etas_are_dropped_once_rules_are_active(small_config):
         world = SimWorld(small_config, kind, 0, 1)
         world.execute()
         assert world.activation_eta == {}, kind
+
+
+def test_every_world_shares_one_parse_of_the_manifest(small_config, monkeypatch):
+    runtime.shared_content.cache_clear()
+    parses = []
+
+    def counting_parse(*args):
+        parses.append(args)
+        return parse_mpd(*args)
+
+    # the controller's copy too: an ingest that parsed again would count here
+    monkeypatch.setattr(runtime, "parse_mpd", counting_parse)
+    monkeypatch.setattr(controller, "parse_mpd", counting_parse)
+    worlds = []
+    build_world = SimWorld.__init__
+
+    def recording_init(self, *args):
+        build_world(self, *args)
+        worlds.append(self)
+
+    monkeypatch.setattr(SimWorld, "__init__", recording_init)
+    small_config.seeds = [1, 2]
+    run_suite(small_config)
+
+    assert len(parses) == 1
+    assert len(worlds) == len(ScenarioKind) * 2
+    assert all(w.manifest is worlds[0].manifest and w.catalog is worlds[0].catalog for w in worlds)
+    # no run has changed the shared value
+    mpd_bytes = small_config.mpd_bytes()
+    fresh = parse_mpd(mpd_bytes, worlds[0].mpd_path)
+    assert worlds[0].manifest == fresh
+    assert worlds[0].manifest.url_index == fresh.url_index
+    assert worlds[0].catalog == build_catalog(fresh, worlds[0].mpd_path, len(mpd_bytes))

@@ -2,8 +2,11 @@
 
 import json
 import socket
+import sys
 import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
@@ -12,8 +15,9 @@ import pytest
 
 from conftest import SMALL_MPD
 from helpers import line_topology
-from icnsim.controller import IcnController
+from icnsim.controller import IcnController, ImmediateHooks
 from icnsim.flows import FlowManager
+from icnsim.mpd import parse_mpd, resolve_chain
 from icnsim.registry import IcnRegistry
 from icnsim.service import (
     DelayedBindingProxy,
@@ -23,17 +27,28 @@ from icnsim.service import (
 )
 
 
+@contextmanager
+def serving(controller, defer_wait_s=None):
+    """A control server for ``controller`` on a free port; yields its base URL."""
+    server = make_control_server(controller)
+    if defer_wait_s is not None:
+        server.RequestHandlerClass.defer_wait_s = defer_wait_s
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture()
 def control():
     topo = line_topology(2, hosts={"proxy": "s1", "cache": "s1", "origin": "s2"})
     controller = IcnController(IcnRegistry(topo), FlowManager(topo))
-    server = make_control_server(controller)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield controller, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
+    with serving(controller) as base:
+        yield controller, base
 
 
 def call(base, method, path, params=None, body=None, headers=None):
@@ -134,14 +149,19 @@ def test_duplicate_proxyrequest_gets_409(control):
     assert status == 409 and second["error"] == "DuplicateSession"
 
 
-def make_icn_world(receiver_port):
-    """Controller whose prefetch dispatch POSTs to a live receiver."""
+def serve_small_mpd(path, host):
+    return SMALL_MPD.encode()
+
+
+def make_icn_world(
+    receiver_port, hooks_class=HttpHooks, fetcher=serve_small_mpd, icn_type="SVC_PREFETCH", lookahead=None
+):
+    """Controller whose prefetch dispatch POSTs to a live receiver (with the default hooks)."""
     topo = line_topology(2, hosts={"proxy": "s1", "cache": "s1", "origin": "s2"})
     flows = FlowManager(topo)
-    hooks = HttpHooks(flows, fetcher=lambda path, host: SMALL_MPD.encode())
-    controller = IcnController(IcnRegistry(topo), flows, hooks)
+    controller = IcnController(IcnRegistry(topo), flows, hooks_class(flows, fetcher), lookahead=lookahead)
     post = controller.handle_management_request
-    assert post("POST", "onos/icn/icn", {"name": "bbb", "type": "SVC_PREFETCH"})[0] == 201
+    assert post("POST", "onos/icn/icn", {"name": "bbb", "type": icn_type})[0] == 201
     assert post("POST", "onos/icn/proxy",
                 {"instance": "icn-0001", "mac": "aa:00:00:00:00:01", "ip": "10.0.0.7",
                  "proxy_port": 8080, "location": {"dpid": "s1", "port": 103}})[0] == 201
@@ -191,6 +211,93 @@ def test_prefetch_dispatch_reports_unreachable_receiver():
     controller.handle_proxy_request(notification("/v/small_rep0_seg1.svc", 40002))
     failures = [p for k, p in logged if k == "PrefetchIssued" and not p["ok"]]
     assert len(failures) == 8
+
+
+def proxyrequest(uri, sport, source_ip="10.0.0.9", hostname="video.example"):
+    return {"uri": uri, "hostname": hostname, "source_ip": source_ip,
+            "destination_ip": "10.9.9.9", "source_port": sport, "destination_port": 80}
+
+
+def test_manifest_that_fails_to_parse_does_not_wedge_the_instance():
+    controller = make_icn_world(
+        1, ImmediateHooks, lambda path, host: b"<MPD mediaPresentationDuration=", "DISTRIBUTED_SVC_PREFETCH"
+    )
+    logged = []
+    controller.hooks.log = lambda kind, payload: logged.append((kind, payload))
+    with serving(controller, defer_wait_s=0.5) as base:
+        status, answer = call(base, "POST", "onos/icn/proxyrequest", proxyrequest("/v/small.mpd", 40001))
+        assert status == 200 and answer["cache"] == "cache-0001"
+        assert logged == [("ManifestReady", {"path": "/v/small.mpd", "ok": False})]
+        assert controller.state["icn-0001"].pending_manifests == set()
+        # an unknown layer is answered at once, not held until a 503
+        status, answer = call(base, "POST", "onos/icn/proxyrequest",
+                              proxyrequest("/v/small_rep3_seg1.svc", 40002))
+        assert status == 200 and answer["cache"] == "cache-0001"
+
+
+class RecordingDispatch(ImmediateHooks):
+    def __init__(self, flows, fetcher):
+        super().__init__(flows, fetcher)
+        self.dispatched = []
+
+    def dispatch_prefetch(self, prefetcher, command):
+        self.dispatched.append((command.server, command.uri))
+        return True
+
+
+LONG_MPD = SMALL_MPD.replace('"PT16S"', '"PT1000S"')  # 500 segments of 2 s
+
+
+def test_concurrent_proxyrequests_keep_the_controller_consistent():
+    """8 handler threads; in each round two of them race to plan a viewer's whole video."""
+    controller = make_icn_world(1, RecordingDispatch, lambda path, host: LONG_MPD.encode())
+    manifest = parse_mpd(LONG_MPD, "/v/small.mpd")
+    rounds, threads_count = 4, 8
+    barrier = threading.Barrier(threads_count, timeout=20.0)
+    answers, failures = [], []
+
+    def client(thread_index, base):
+        pair = thread_index // 2
+        rep = 2 + thread_index % 2  # the pair's union is chain(3)
+        for round_index in range(rounds):
+            source_ip = f"10.0.{round_index + 1}.{pair + 1}"
+            hostname = f"viewer{round_index}-{pair}.example"
+            barrier.wait()
+            # the first request plans the whole video; the rest, a seek back included, plan nothing
+            for step, segment in enumerate((1, 2, 3, 4, 1)):
+                sport = 40000 + 100 * thread_index + 10 * round_index + step
+                uri = f"/v/small_rep{rep}_seg{segment}.svc"
+                try:
+                    answers.append(call(base, "POST", "onos/icn/proxyrequest",
+                                        proxyrequest(uri, sport, source_ip, hostname)))
+                except OSError as exc:  # a dropped socket
+                    failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(controller) as base:
+            assert call(base, "POST", "onos/icn/proxyrequest", proxyrequest("/v/small.mpd", 39999))[0] == 200
+            threads = [threading.Thread(target=client, args=(t, base)) for t in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert failures == []
+    assert len(answers) == threads_count * rounds * 5
+    assert [status for status, _ in answers if status != 200] == []
+    tokens = [answer["decision"] for _, answer in answers]
+    assert len(set(tokens)) == len(tokens)
+    chain = resolve_chain(manifest, 3)
+    every_uri = [manifest.segment_url(layer, n) for n in range(1, 501) for layer in chain]
+    expected = Counter(
+        (f"viewer{r}-{pair}.example", uri) for r in range(rounds) for pair in range(4) for uri in every_uri
+    )
+    assert Counter(controller.hooks.dispatched) == expected
 
 
 class CountingOrigin:
@@ -273,6 +380,21 @@ def test_proxy_answers_400_to_garbage():
     finally:
         proxy.stop()
         origin.stop()
+
+
+def test_proxy_answers_408_to_a_stalled_head():
+    proxy = DelayedBindingProxy(controller=gateway_controller())
+    proxy.read_timeout_s = 0.2
+    proxy.start()
+    try:
+        with socket.create_connection(proxy.address, timeout=2.0) as conn:
+            conn.sendall(b"GET /slow HTTP/1.1\r\nHost: loc")  # and nothing more
+            started = time.monotonic()
+            reply = conn.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 408")
+        assert time.monotonic() - started < 1.0
+    finally:
+        proxy.stop()
 
 
 def test_proxy_gives_up_with_502_when_upstream_is_dead():
