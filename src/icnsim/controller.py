@@ -75,7 +75,7 @@ class ImmediateHooks:
         if payload is not None:
             try:
                 manifest = parse_mpd(payload, url_path)
-            except (MpdError, ValueError):  # ValueError: a non-numeric attribute
+            except MpdError:
                 pass
         done(manifest)
 
@@ -140,7 +140,8 @@ class IcnController:
         self.state: dict[str, InstanceState] = {}
         self._token_seq = 0
         # Live handler threads share one controller; every entry point holds
-        # this lock.  Reentrant, so a hook may call back into the controller.
+        # this lock, except while prefetch commands go out.  Reentrant, so a
+        # hook may call back into the controller.
         self._lock = threading.RLock()
 
     @property
@@ -280,56 +281,77 @@ class IcnController:
     def handle_proxy_request(
         self, notification: ProxyRequestNotification, proxy_id: str | None = None
     ) -> SteeringResponse | SteeringDeferred:
-        """Answer one delayed-binding notification with a dial target."""
+        """Answer one delayed-binding notification with a dial target.
+
+        The decision and every state change, prefetch planning included, are
+        made under the lock.  The planned commands go out after it is released,
+        since a live prefetcher may take seconds to take them, and the session
+        flows are activated after that, in the order the simulator draws its
+        control-plane delays.
+        """
         with self._lock:
-            matched = self.registry.match_request(
-                notification.source_ip, notification.hostname, notification.uri
-            )
-            if matched is None:
-                return self._default_gateway_response(notification)
-            instance, _provider = matched
-            caches = self.registry.instance_endpoints(instance.instance_id, EndpointRole.CACHE)
-            if not caches:
-                return self._default_gateway_response(notification)
+            outcome, prefetch = self._steer(notification, proxy_id)
+        if prefetch is not None:
+            self._dispatch_prefetch(*prefetch)
+        if isinstance(outcome, SteeringResponse) and outcome.installation is not None:
+            with self._lock:
+                self.hooks.activate_installation(outcome.installation)
+        return outcome
 
-            state = self._state(instance.instance_id)
-            path = mpdmod._url_path(notification.uri)
-            if instance.icn_type.prefetches and is_mpd_url(path):
-                self._ingest_mpd(instance, state, notification)
-            manifest, match = self._classify(state, path)
+    def _steer(
+        self, notification: ProxyRequestNotification, proxy_id: str | None
+    ) -> tuple[SteeringResponse | SteeringDeferred, tuple[NetworkEndpoint, list] | None]:
+        """The answer plus the prefetch commands it planned, if any; the caller holds the lock."""
+        matched = self.registry.match_request(
+            notification.source_ip, notification.hostname, notification.uri
+        )
+        if matched is None:
+            return self._default_gateway_response(notification), None
+        instance, _provider = matched
+        caches = self.registry.instance_endpoints(instance.instance_id, EndpointRole.CACHE)
+        if not caches:
+            return self._default_gateway_response(notification), None
 
-            if instance.icn_type.distributed and match.kind is UrlKind.SEGMENT:
-                cache = self._allocation_cache(instance, state, match.repr_id, notification)
-            elif (
-                instance.icn_type.distributed
-                and match.kind is UrlKind.UNKNOWN
-                and state.pending_manifests
-            ):
-                # Cannot tell which layer this is yet; deciding now could pin a
-                # layer to the wrong cache, so hold the answer until analysis ends.
-                now = self.hooks.now_ms()
-                ready = max(state.manifest_ready_at.get(p, now + 20.0) for p in state.pending_manifests)
-                return SteeringDeferred(ready_at_ms=max(ready, now + 1.0))
-            else:
-                cache = self._nearest_cache(instance, notification)
+        state = self._state(instance.instance_id)
+        path = mpdmod._url_path(notification.uri)
+        if instance.icn_type.prefetches and is_mpd_url(path):
+            self._ingest_mpd(instance, state, notification)
+        manifest, match = self._classify(state, path)
 
-            if (
-                instance.icn_type.prefetches
-                and manifest is not None
-                and match.kind is UrlKind.SEGMENT
-                and not self._from_prefetcher(instance, notification.source_ip)
-            ):
-                self._fan_out_prefetch(instance, state, manifest, match, notification)
+        if instance.icn_type.distributed and match.kind is UrlKind.SEGMENT:
+            cache = self._allocation_cache(instance, state, match.repr_id, notification)
+        elif (
+            instance.icn_type.distributed
+            and match.kind is UrlKind.UNKNOWN
+            and state.pending_manifests
+        ):
+            # Cannot tell which layer this is yet; deciding now could pin a
+            # layer to the wrong cache, so hold the answer until analysis ends.
+            now = self.hooks.now_ms()
+            ready = max(state.manifest_ready_at.get(p, now + 20.0) for p in state.pending_manifests)
+            return SteeringDeferred(ready_at_ms=max(ready, now + 1.0)), None
+        else:
+            cache = self._nearest_cache(instance, notification)
 
-            installation = self._install_session_flows(instance, notification, cache, proxy_id)
-            return SteeringResponse(
-                decision_token=self._token(f"{instance.instance_id}/{cache.endpoint_id}"),
-                connect_ip=notification.destination_ip,
-                connect_port=notification.destination_port,
-                cache_id=cache.endpoint_id,
-                instance_id=instance.instance_id,
-                installation=installation,
-            )
+        # Staged first: a session that fails to install plans no prefetch.
+        installation = self._install_session_flows(instance, notification, cache, proxy_id)
+        prefetch = None
+        if (
+            instance.icn_type.prefetches
+            and manifest is not None
+            and match.kind is UrlKind.SEGMENT
+            and not self._from_prefetcher(instance, notification.source_ip)
+        ):
+            prefetch = self._plan_fan_out(instance, state, manifest, match, notification)
+        response = SteeringResponse(
+            decision_token=self._token(f"{instance.instance_id}/{cache.endpoint_id}"),
+            connect_ip=notification.destination_ip,
+            connect_port=notification.destination_port,
+            cache_id=cache.endpoint_id,
+            instance_id=instance.instance_id,
+            installation=installation,
+        )
+        return response, prefetch
 
     def _default_gateway_response(self, notification: ProxyRequestNotification) -> SteeringResponse:
         return SteeringResponse(
@@ -413,18 +435,17 @@ class IcnController:
         """Let deferral know when analysis of a pending manifest will finish."""
         self._state(instance_id).manifest_ready_at[path] = ready_at_ms
 
-    def _fan_out_prefetch(
+    def _plan_fan_out(
         self,
         instance: IcnInstance,
         state: InstanceState,
         manifest: MpdManifest,
         match,
         notification: ProxyRequestNotification,
-    ) -> None:
+    ) -> tuple[NetworkEndpoint, list] | None:
         prefetchers = self.registry.instance_endpoints(instance.instance_id, EndpointRole.PREFETCHER)
         if not prefetchers:
-            return
-        prefetcher = prefetchers[0]
+            return None
         plan = plan_prefetch(
             manifest,
             match.repr_id,
@@ -434,7 +455,10 @@ class IcnController:
             lookahead=self.lookahead,
             planned=state.planned.setdefault((notification.source_ip, manifest.mpd_path), PlannedSpans()),
         )
-        for command in plan.commands:
+        return prefetchers[0], plan.commands
+
+    def _dispatch_prefetch(self, prefetcher: NetworkEndpoint, commands: list) -> None:
+        for command in commands:
             if not self.hooks.dispatch_prefetch(prefetcher, command):
                 self.hooks.log(
                     "PrefetchIssued",
@@ -465,12 +489,10 @@ class IcnController:
             notification.destination_ip,
             notification.destination_port,
         )
-        installation = self.flows.install_proxy_to_cache(
+        return self.flows.install_proxy_to_cache(
             session_key,
             endpoint_host(proxy),
             (dst_mac, notification.destination_ip, notification.destination_port),
             endpoint_host(cache),
             cache.port,
         )
-        self.hooks.activate_installation(installation)
-        return installation

@@ -52,6 +52,17 @@ def _children(element: ET.Element, name: str) -> list[ET.Element]:
     return [child for child in element if _local(child.tag) == name]
 
 
+def _number(element: ET.Element, name: str, convert, default=None):
+    """Attribute ``name`` of ``element`` through ``convert``; text that does not convert is malformed."""
+    text = element.get(name)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise MalformedXml(f"non-numeric {_local(element.tag)}@{name} {text!r}") from None
+
+
 def _url_path(url: str) -> str:
     path = urlsplit(url).path
     return path if path.startswith("/") else "/" + path
@@ -174,9 +185,12 @@ def _parse_representation(
         rid = int(rid_attr)
     except ValueError:
         raise MissingMandatoryElement(f"non-integer Representation@id {rid_attr!r}") from None
-    deps = tuple(
-        sorted({int(tok) for tok in (rep.get("dependencyId") or "").split() if int(tok) != rid})
-    )
+    bandwidth = _number(rep, "bandwidth", int)
+    try:
+        dep_ids = {int(tok) for tok in (rep.get("dependencyId") or "").split()}
+    except ValueError:
+        raise MalformedXml(f"non-numeric Representation@dependencyId {rep.get('dependencyId')!r}") from None
+    deps = tuple(sorted(dep_ids - {rid}))
 
     seg_list = next(iter(_children(rep, "SegmentList")), None)
     # childless Elements are falsy, so `or` would drop a per-Representation template
@@ -184,26 +198,26 @@ def _parse_representation(
     if template is None:
         template = set_template
     if seg_list is not None:
-        dur = float(seg_list.get("duration", duration_s))
-        timescale = float(seg_list.get("timescale", 1))
+        dur = _number(seg_list, "duration", float, duration_s)
+        timescale = _number(seg_list, "timescale", float, 1.0)
         urls = tuple(
             _url_path(urljoin(mpd_url, seg.get("media", "")))
             for seg in _children(seg_list, "SegmentURL")
         )
         if not urls:
             raise MissingMandatoryElement("SegmentURL")
-        return Representation(rid, int(bandwidth_attr), deps, urls), dur / timescale, 1
+        return Representation(rid, bandwidth, deps, urls), dur / timescale, 1
     if template is not None:
         media = template.get("media")
         if not media:
             raise MissingMandatoryElement("SegmentTemplate@media")
-        dur = float(template.get("duration", 0))
-        timescale = float(template.get("timescale", 1))
+        dur = _number(template, "duration", float, 0.0)
+        timescale = _number(template, "timescale", float, 1.0)
         if dur <= 0:
             raise MissingMandatoryElement("SegmentTemplate@duration")
         seg_dur = dur / timescale
         count = math.ceil(round(duration_s / seg_dur, 9))
-        start = int(template.get("startNumber", 1))
+        start = _number(template, "startNumber", int, 1)
         urls = []
         for number in range(start, start + count):
             expanded = (
@@ -212,7 +226,7 @@ def _parse_representation(
                 .replace("$Number$", str(number))
             )
             urls.append(_url_path(urljoin(mpd_url, expanded)))
-        return Representation(rid, int(bandwidth_attr), deps, tuple(urls)), seg_dur, start
+        return Representation(rid, bandwidth, deps, tuple(urls)), seg_dur, start
     raise MissingMandatoryElement("SegmentList or SegmentTemplate")
 
 

@@ -147,6 +147,25 @@ def test_template_start_number():
         ),
         (
             '<MPD mediaPresentationDuration="PT4S"><Period><AdaptationSet>'
+            '<Representation id="0" bandwidth="fast"><SegmentTemplate media="s$Number$" duration="2"/>'
+            "</Representation></AdaptationSet></Period></MPD>",
+            MalformedXml,  # non-numeric bandwidth
+        ),
+        (
+            '<MPD mediaPresentationDuration="PT4S"><Period><AdaptationSet>'
+            '<Representation id="1" bandwidth="1" dependencyId="zero">'
+            '<SegmentTemplate media="s$Number$" duration="2"/>'
+            "</Representation></AdaptationSet></Period></MPD>",
+            MalformedXml,  # non-numeric dependency id
+        ),
+        (
+            '<MPD mediaPresentationDuration="PT4S"><Period><AdaptationSet>'
+            '<Representation id="0" bandwidth="1"><SegmentTemplate media="s$Number$" duration="two"/>'
+            "</Representation></AdaptationSet></Period></MPD>",
+            MalformedXml,  # non-numeric segment duration
+        ),
+        (
+            '<MPD mediaPresentationDuration="PT4S"><Period><AdaptationSet>'
             '<Representation id="0" bandwidth="1"/>'
             "</AdaptationSet></Period></MPD>",
             MissingMandatoryElement,  # no segment source

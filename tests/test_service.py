@@ -218,10 +218,13 @@ def proxyrequest(uri, sport, source_ip="10.0.0.9", hostname="video.example"):
             "destination_ip": "10.9.9.9", "source_port": sport, "destination_port": 80}
 
 
-def test_manifest_that_fails_to_parse_does_not_wedge_the_instance():
-    controller = make_icn_world(
-        1, ImmediateHooks, lambda path, host: b"<MPD mediaPresentationDuration=", "DISTRIBUTED_SVC_PREFETCH"
-    )
+@pytest.mark.parametrize(
+    "payload",
+    [b"<MPD mediaPresentationDuration=", SMALL_MPD.replace('bandwidth="400000"', 'bandwidth="fast"').encode()],
+    ids=["truncated", "non-numeric-bandwidth"],
+)
+def test_manifest_that_fails_to_parse_does_not_wedge_the_instance(payload):
+    controller = make_icn_world(1, ImmediateHooks, lambda path, host: payload, "DISTRIBUTED_SVC_PREFETCH")
     logged = []
     controller.hooks.log = lambda kind, payload: logged.append((kind, payload))
     with serving(controller, defer_wait_s=0.5) as base:
@@ -243,6 +246,48 @@ class RecordingDispatch(ImmediateHooks):
     def dispatch_prefetch(self, prefetcher, command):
         self.dispatched.append((command.server, command.uri))
         return True
+
+
+class BlockingDispatch(RecordingDispatch):
+    """Holds every command for the viewer of ``blocked.example`` until ``release`` is set."""
+
+    def __init__(self, flows, fetcher):
+        super().__init__(flows, fetcher)
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def dispatch_prefetch(self, prefetcher, command):
+        if command.server == "blocked.example":
+            self.entered.set()
+            self.release.wait(timeout=10.0)
+        return super().dispatch_prefetch(prefetcher, command)
+
+
+def test_a_stalled_prefetch_dispatch_does_not_hold_up_other_calls():
+    controller = make_icn_world(1, BlockingDispatch)
+    hooks = controller.hooks
+    stalled = []
+    with serving(controller) as base:
+        assert call(base, "POST", "onos/icn/proxyrequest", proxyrequest("/v/small.mpd", 40000))[0] == 200
+        thread = threading.Thread(target=lambda: stalled.append(call(
+            base, "POST", "onos/icn/proxyrequest",
+            proxyrequest("/v/small_rep1_seg1.svc", 40001, hostname="blocked.example"))))
+        thread.start()
+        try:
+            assert hooks.entered.wait(timeout=5.0)
+            # both answered while the first viewer's dispatch is still held
+            assert call(base, "POST", "onos/icn/cache",
+                        {"instance": "icn-0001", "mac": "aa:00:00:00:00:04", "ip": "10.0.0.6",
+                         "port": 3128, "location": {"dpid": "s1", "port": 106}})[0] == 201
+            status, answer = call(base, "POST", "onos/icn/proxyrequest",
+                                  proxyrequest("/v/small_rep1_seg1.svc", 40002, source_ip="10.0.0.10"))
+            assert status == 200 and answer["cache"]
+            assert thread.is_alive() and stalled == []
+        finally:
+            hooks.release.set()
+            thread.join(timeout=10.0)
+    assert [status for status, _ in stalled] == [200]
+    # chain(1) x 8 segments for each viewer
+    assert Counter(server for server, _ in hooks.dispatched) == {"blocked.example": 16, "video.example": 16}
 
 
 LONG_MPD = SMALL_MPD.replace('"PT16S"', '"PT1000S"')  # 500 segments of 2 s
