@@ -17,10 +17,6 @@ class CacheResult(Enum):
     MISS_FILLED = "MISS_FILLED"
     SWAPFAIL_MISS = "SWAPFAIL_MISS"
 
-    @property
-    def is_hit(self) -> bool:
-        return self is CacheResult.HIT
-
 
 class CacheNode:
     def __init__(
@@ -69,13 +65,6 @@ class CacheNode:
             while len(self._store) > self.capacity_objects:
                 oldest = next(iter(self._store))
                 del self._store[oldest]
-
-    def serve_and_fill(self, url: str, size: int) -> CacheResult:
-        """Synchronous convenience for non-simulated use."""
-        result = self.serve(url)
-        if result is CacheResult.MISS_FILLED:
-            self.complete_fill(url, size)
-        return result
 
     def warm(self, items: list[tuple[str, int]]) -> int:
         """Preload objects as an earlier identical run would have left them.

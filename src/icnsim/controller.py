@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from . import mpd as mpdmod
-from .errors import IcnError, MpdError, UnknownInstance
+from .errors import DuplicateAddress, IcnError, MpdError, UnknownInstance
 from .flows import FlowManager, PathInstallation
 from .mpd import MpdManifest, UrlKind, classify_url, is_mpd_url, parse_mpd
 from .prefetch import AllocationMap, PlannedSpans, allocate_layers, plan_prefetch
@@ -139,9 +139,9 @@ class IcnController:
         self.lookahead = lookahead
         self.state: dict[str, InstanceState] = {}
         self._token_seq = 0
-        # Live handler threads share one controller; every entry point holds
-        # this lock, except while prefetch commands go out.  Reentrant, so a
-        # hook may call back into the controller.
+        # Live handler threads share one controller and its registry; every
+        # entry point holds this lock, except while prefetch commands go out.
+        # Reentrant, so a hook may call back into the controller.
         self._lock = threading.RLock()
 
     @property
@@ -158,18 +158,29 @@ class IcnController:
     # -- management interface -------------------------------------------------
 
     def handle_management_request(self, method: str, path: str, params: dict) -> tuple[int, dict]:
-        """REST-shaped entry point shared by the HTTP service and the simulator."""
+        """REST-shaped entry point shared by the HTTP service and the simulator.
+
+        Every verb runs under the controller lock, reads of the registry included.
+        """
         path = path.strip("/")
+        verb = method.upper()
         try:
             with self._lock:
-                if method.upper() == "POST":
+                if verb == "GET":
+                    if path == "onos/icn/icn":
+                        return 200, self.registry.to_dict()
+                    return 404, {"error": "UnknownPath", "message": path}
+                if verb == "POST":
                     return self._handle_create(path, params)
-                if method.upper() == "DELETE":
+                if verb == "DELETE":
                     return self._handle_delete(path)
         except IcnError as exc:
-            status = 404 if isinstance(exc, (UnknownInstance,)) else 400
-            if type(exc).__name__ == "DuplicateAddress":
+            if isinstance(exc, UnknownInstance):
+                status = 404
+            elif isinstance(exc, DuplicateAddress):
                 status = 409
+            else:
+                status = 400
             return status, {"error": type(exc).__name__, "message": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:
             # a request missing fields must come back as 400, not sever the socket
@@ -391,9 +402,8 @@ class IcnController:
         return self.registry.endpoints[cache_id]
 
     def _from_prefetcher(self, instance: IcnInstance, source_ip: str) -> bool:
-        return any(
-            self.registry.endpoints[eid].ip == source_ip for eid in instance.prefetcher_ids
-        )
+        prefetchers = self.registry.instance_endpoints(instance.instance_id, EndpointRole.PREFETCHER)
+        return any(ep.ip == source_ip for ep in prefetchers)
 
     def _ingest_mpd(
         self, instance: IcnInstance, state: InstanceState, notification: ProxyRequestNotification

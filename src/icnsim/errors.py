@@ -51,10 +51,6 @@ class MalformedHttp(IcnError):
     pass
 
 
-class MaxRetriesExceeded(IcnError):
-    pass
-
-
 class MpdError(IcnError):
     """Base class for manifest parsing problems."""
 

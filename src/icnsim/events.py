@@ -52,23 +52,17 @@ class SimEvent:
 class EventLoop:
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventKind | None, dict | None, Callable[[], None] | None]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._ordinal = 0
         self.records: list[SimEvent] = []
 
-    def schedule(
-        self,
-        delay_ms: float,
-        callback: Callable[[], None] | None = None,
-        kind: EventKind | None = None,
-        payload: dict | None = None,
-    ) -> None:
+    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> None:
         """Queue work after a delay; events may never land in the past."""
         if delay_ms < 0:
             raise ValueError(f"cannot schedule {delay_ms} ms into the past")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, kind, payload, callback))
+        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, callback))
 
     def emit(self, kind: EventKind, payload: dict) -> None:
         """Record an event happening right now."""
@@ -100,12 +94,9 @@ class EventLoop:
             if max_time_ms is not None and self._heap[0][0] > max_time_ms:
                 self.now = max_time_ms
                 return
-            time_ms, _seq, kind, payload, callback = heapq.heappop(self._heap)
+            time_ms, _seq, callback = heapq.heappop(self._heap)
             self.now = time_ms
-            if kind is not None:
-                self.emit(kind, payload or {})
-            if callback is not None:
-                callback()
+            callback()
 
     def pending(self) -> int:
         return len(self._heap)

@@ -108,9 +108,6 @@ class FlowManager:
 
     # -- table plumbing -----------------------------------------------------
 
-    def rules_at(self, dpid: str) -> list[FlowRule]:
-        return [r for _, r in self._tables[dpid]]
-
     def _insert(self, flow_rule: FlowRule) -> None:
         self._tables[flow_rule.dpid].append((next(self._seq), flow_rule))
 

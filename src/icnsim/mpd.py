@@ -23,6 +23,9 @@ from .errors import (
     UnknownRepresentation,
 )
 
+# one million one-second segments is eleven days of media
+_MAX_TEMPLATE_SEGMENTS = 1_000_000
+
 _DURATION_RE = re.compile(
     r"^P(?:(?P<d>\d+(?:\.\d+)?)D)?"
     r"(?:T(?:(?P<h>\d+(?:\.\d+)?)H)?(?:(?P<m>\d+(?:\.\d+)?)M)?(?:(?P<s>\d+(?:\.\d+)?)S)?)?$"
@@ -38,10 +41,6 @@ def parse_iso_duration(text: str) -> float:
     minutes = float(m.group("m") or 0)
     seconds = float(m.group("s") or 0)
     return ((days * 24 + hours) * 60 + minutes) * 60 + seconds
-
-
-def format_iso_duration(seconds: float) -> str:
-    return f"PT{seconds:g}S"
 
 
 def _local(tag: str) -> str:
@@ -61,6 +60,19 @@ def _number(element: ET.Element, name: str, convert, default=None):
         return convert(text)
     except ValueError:
         raise MalformedXml(f"non-numeric {_local(element.tag)}@{name} {text!r}") from None
+
+
+def _segment_seconds(element: ET.Element, default_duration: float) -> float:
+    """``duration / timescale`` of a segment source, which must be finite and positive."""
+    duration = _number(element, "duration", float, default_duration)
+    timescale = _number(element, "timescale", float, 1.0)
+    # nan fails every comparison; a timescale that is not positive stops before the division
+    if not (timescale > 0 and 0 < duration / timescale < math.inf):
+        raise MalformedXml(
+            f"{_local(element.tag)} segment duration {duration!r} / timescale {timescale!r}"
+            " is not finite and positive"
+        )
+    return duration / timescale
 
 
 def _url_path(url: str) -> str:
@@ -198,25 +210,26 @@ def _parse_representation(
     if template is None:
         template = set_template
     if seg_list is not None:
-        dur = _number(seg_list, "duration", float, duration_s)
-        timescale = _number(seg_list, "timescale", float, 1.0)
+        seg_dur = _segment_seconds(seg_list, duration_s)
         urls = tuple(
             _url_path(urljoin(mpd_url, seg.get("media", "")))
             for seg in _children(seg_list, "SegmentURL")
         )
         if not urls:
             raise MissingMandatoryElement("SegmentURL")
-        return Representation(rid, bandwidth, deps, urls), dur / timescale, 1
+        return Representation(rid, bandwidth, deps, urls), seg_dur, 1
     if template is not None:
         media = template.get("media")
         if not media:
             raise MissingMandatoryElement("SegmentTemplate@media")
-        dur = _number(template, "duration", float, 0.0)
-        timescale = _number(template, "timescale", float, 1.0)
-        if dur <= 0:
+        if template.get("duration") is None:
             raise MissingMandatoryElement("SegmentTemplate@duration")
-        seg_dur = dur / timescale
-        count = math.ceil(round(duration_s / seg_dur, 9))
+        seg_dur = _segment_seconds(template, 0.0)
+        segments = round(duration_s / seg_dur, 9)
+        # a tiny positive duration overflows the count to inf, or asks for billions of URLs
+        if not segments <= _MAX_TEMPLATE_SEGMENTS:
+            raise MalformedXml(f"SegmentTemplate expands to {segments!r} segments")
+        count = math.ceil(segments)
         start = _number(template, "startNumber", int, 1)
         urls = []
         for number in range(start, start + count):
@@ -280,32 +293,3 @@ def classify_url(manifest: MpdManifest, url: str) -> UrlMatch:
     if hit is not None:
         return UrlMatch(UrlKind.SEGMENT, repr_id=hit[0], segment_number=hit[1])
     return UrlMatch(UrlKind.UNKNOWN)
-
-
-def serialize_mpd(manifest: MpdManifest) -> bytes:
-    """Emit the manifest as MPD XML (SegmentList form).
-
-    ``parse_mpd(serialize_mpd(m), m.mpd_path) == m`` holds for any manifest
-    within the supported subset.
-    """
-    root = ET.Element("MPD", {
-        "xmlns": "urn:mpeg:dash:schema:mpd:2011",
-        "mediaPresentationDuration": format_iso_duration(manifest.duration_s),
-        "type": "static",
-    })
-    period = ET.SubElement(root, "Period")
-    aset = ET.SubElement(period, "AdaptationSet", {"mimeType": "video/mp4"})
-    timescale = 1000
-    for rid in sorted(manifest.representations):
-        rep = manifest.representations[rid]
-        attrs = {"id": str(rid), "bandwidth": str(rep.bandwidth)}
-        if rep.dependency_ids:
-            attrs["dependencyId"] = " ".join(str(d) for d in rep.dependency_ids)
-        rep_el = ET.SubElement(aset, "Representation", attrs)
-        seg_list = ET.SubElement(rep_el, "SegmentList", {
-            "duration": str(round(manifest.segment_duration_s * timescale)),
-            "timescale": str(timescale),
-        })
-        for url in rep.segment_urls:
-            ET.SubElement(seg_list, "SegmentURL", {"media": url})
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)

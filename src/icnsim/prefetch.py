@@ -28,11 +28,8 @@ class AllocationMap:
                 return cache_id
         return None
 
-    def layers_for(self, cache_id: str, layer_ids: list[int]) -> list[int]:
-        return [rid for rid in layer_ids if self.cache_for(rid) == cache_id]
 
-
-def allocate_layers(representation_count: int, ordered_cache_ids: list[str]) -> AllocationMap:
+def allocate_layers(representation_count: int, nearest_first: list[str]) -> AllocationMap:
     """Split [0, R) into one contiguous range per cache, nearest first.
 
     Range sizes differ by at most one; when R does not divide evenly the
@@ -41,13 +38,13 @@ def allocate_layers(representation_count: int, ordered_cache_ids: list[str]) -> 
     """
     if representation_count < 1:
         raise ValueError("representation_count must be >= 1")
-    if not ordered_cache_ids:
+    if not nearest_first:
         raise ValueError("at least one cache is required")
-    n = len(ordered_cache_ids)
+    n = len(nearest_first)
     base, extra = divmod(representation_count, n)
     ranges = []
     lo = 0
-    for idx, cache_id in enumerate(ordered_cache_ids):
+    for idx, cache_id in enumerate(nearest_first):
         size = base + (1 if idx < extra else 0)
         ranges.append((cache_id, lo, lo + size))
         lo += size

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -52,10 +51,6 @@ class IcnInstance:
     name: str
     description: str
     icn_type: IcnType
-    proxy_ids: list[str] = field(default_factory=list)
-    cache_ids: list[str] = field(default_factory=list)
-    prefetcher_ids: list[str] = field(default_factory=list)
-    provider_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -96,14 +91,18 @@ class ProviderRegistration:
 
 
 class IcnRegistry:
-    """Mutations are serialized behind one lock; reads see complete states."""
+    """Instances, endpoints and providers, each kept once, keyed by id.
+
+    An endpoint or provider names its instance; dicts keep registration
+    order, so an instance's members come back in the order they arrived.
+    Not thread-safe: the owner (``IcnController``) serialises every access.
+    """
 
     def __init__(self, topology: Topology | None = None):
         self.topology = topology
         self.instances: dict[str, IcnInstance] = {}
         self.endpoints: dict[str, NetworkEndpoint] = {}
         self.providers: dict[str, ProviderRegistration] = {}
-        self._lock = threading.RLock()
         self._counters = {"icn": 0, "proxy": 0, "cache": 0, "prefetch": 0, "provider": 0}
 
     def _next_id(self, kind: str) -> str:
@@ -119,10 +118,9 @@ class IcnRegistry:
             except ValueError:
                 allowed = ", ".join(t.value for t in IcnType)
                 raise InvalidIcnType(f"unknown icn type {icn_type!r}; expected one of: {allowed}") from None
-        with self._lock:
-            instance = IcnInstance(self._next_id("icn"), name, description, icn_type)
-            self.instances[instance.instance_id] = instance
-            return instance
+        instance = IcnInstance(self._next_id("icn"), name, description, icn_type)
+        self.instances[instance.instance_id] = instance
+        return instance
 
     def _require_instance(self, instance_id: str) -> IcnInstance:
         try:
@@ -143,35 +141,29 @@ class IcnRegistry:
         is_proactive: bool = False,
     ) -> NetworkEndpoint:
         role = EndpointRole(role) if isinstance(role, str) else role
-        with self._lock:
-            instance = self._require_instance(instance_id)
-            if self.topology is not None and dpid not in self.topology.switches:
-                raise UnknownSwitch(f"switch {dpid!r} is not part of the topology")
-            for other in self.endpoints.values():
-                if (
-                    other.instance_id == instance_id
-                    and other.role is role
-                    and (other.ip, other.port) == (ip, port)
-                ):
-                    raise DuplicateAddress(f"{role.value} at {ip}:{port} already registered")
-            endpoint = NetworkEndpoint(
-                endpoint_id=self._next_id(role.value),
-                instance_id=instance_id,
-                role=role,
-                mac=mac.lower(),
-                ip=ip,
-                port=int(port),
-                location=(dpid, int(switch_port)),
-                endpoint_type=endpoint_type,
-                is_proactive=bool(is_proactive),
-            )
-            self.endpoints[endpoint.endpoint_id] = endpoint
-            {
-                EndpointRole.PROXY: instance.proxy_ids,
-                EndpointRole.CACHE: instance.cache_ids,
-                EndpointRole.PREFETCHER: instance.prefetcher_ids,
-            }[role].append(endpoint.endpoint_id)
-            return endpoint
+        self._require_instance(instance_id)
+        if self.topology is not None and dpid not in self.topology.switches:
+            raise UnknownSwitch(f"switch {dpid!r} is not part of the topology")
+        for other in self.endpoints.values():
+            if (
+                other.instance_id == instance_id
+                and other.role is role
+                and (other.ip, other.port) == (ip, port)
+            ):
+                raise DuplicateAddress(f"{role.value} at {ip}:{port} already registered")
+        endpoint = NetworkEndpoint(
+            endpoint_id=self._next_id(role.value),
+            instance_id=instance_id,
+            role=role,
+            mac=mac.lower(),
+            ip=ip,
+            port=int(port),
+            location=(dpid, int(switch_port)),
+            endpoint_type=endpoint_type,
+            is_proactive=bool(is_proactive),
+        )
+        self.endpoints[endpoint.endpoint_id] = endpoint
+        return endpoint
 
     def register_provider(
         self,
@@ -181,59 +173,43 @@ class IcnRegistry:
         uri_pattern: str,
         host_pattern: str,
     ) -> ProviderRegistration:
-        with self._lock:
-            instance = self._require_instance(instance_id)
+        self._require_instance(instance_id)
+        try:
+            parsed = ipaddress.ip_network(network, strict=False)
+        except ValueError as exc:
+            raise MalformedCidr(f"bad network {network!r}: {exc}") from None
+        for pattern in (uri_pattern, host_pattern):
             try:
-                parsed = ipaddress.ip_network(network, strict=False)
-            except ValueError as exc:
-                raise MalformedCidr(f"bad network {network!r}: {exc}") from None
-            for pattern in (uri_pattern, host_pattern):
-                try:
-                    re.compile(pattern)
-                except re.error as exc:
-                    raise MalformedPattern(f"bad pattern {pattern!r}: {exc}") from None
-            provider = ProviderRegistration(
-                provider_id=self._next_id("provider"),
-                instance_id=instance_id,
-                name=name,
-                network=parsed,
-                uri_pattern=uri_pattern,
-                host_pattern=host_pattern,
-            )
-            self.providers[provider.provider_id] = provider
-            instance.provider_ids.append(provider.provider_id)
-            return provider
+                re.compile(pattern)
+            except re.error as exc:
+                raise MalformedPattern(f"bad pattern {pattern!r}: {exc}") from None
+        provider = ProviderRegistration(
+            provider_id=self._next_id("provider"),
+            instance_id=instance_id,
+            name=name,
+            network=parsed,
+            uri_pattern=uri_pattern,
+            host_pattern=host_pattern,
+        )
+        self.providers[provider.provider_id] = provider
+        return provider
 
     # -- deletion -----------------------------------------------------------
 
     def delete_instance(self, instance_id: str) -> None:
-        with self._lock:
-            instance = self._require_instance(instance_id)
-            for eid in instance.proxy_ids + instance.cache_ids + instance.prefetcher_ids:
-                self.endpoints.pop(eid, None)
-            for pid in instance.provider_ids:
-                self.providers.pop(pid, None)
-            del self.instances[instance_id]
+        self._require_instance(instance_id)
+        for members in (self.endpoints, self.providers):
+            for member_id in [k for k, m in members.items() if m.instance_id == instance_id]:
+                del members[member_id]
+        del self.instances[instance_id]
 
     def delete_endpoint(self, endpoint_id: str) -> None:
-        with self._lock:
-            endpoint = self.endpoints.pop(endpoint_id, None)
-            if endpoint is None:
-                raise UnknownInstance(f"no endpoint {endpoint_id!r}")
-            instance = self.instances.get(endpoint.instance_id)
-            if instance is not None:
-                for id_list in (instance.proxy_ids, instance.cache_ids, instance.prefetcher_ids):
-                    if endpoint_id in id_list:
-                        id_list.remove(endpoint_id)
+        if self.endpoints.pop(endpoint_id, None) is None:
+            raise UnknownInstance(f"no endpoint {endpoint_id!r}")
 
     def delete_provider(self, provider_id: str) -> None:
-        with self._lock:
-            provider = self.providers.pop(provider_id, None)
-            if provider is None:
-                raise UnknownInstance(f"no provider {provider_id!r}")
-            instance = self.instances.get(provider.instance_id)
-            if instance is not None and provider_id in instance.provider_ids:
-                instance.provider_ids.remove(provider_id)
+        if self.providers.pop(provider_id, None) is None:
+            raise UnknownInstance(f"no provider {provider_id!r}")
 
     # -- queries ------------------------------------------------------------
 
@@ -262,13 +238,11 @@ class IcnRegistry:
         return self.instances[best.instance_id], best
 
     def instance_endpoints(self, instance_id: str, role: EndpointRole) -> list[NetworkEndpoint]:
-        instance = self._require_instance(instance_id)
-        ids = {
-            EndpointRole.PROXY: instance.proxy_ids,
-            EndpointRole.CACHE: instance.cache_ids,
-            EndpointRole.PREFETCHER: instance.prefetcher_ids,
-        }[role]
-        return [self.endpoints[eid] for eid in ids]
+        """The instance's endpoints in one role, in registration order."""
+        self._require_instance(instance_id)
+        return [
+            ep for ep in self.endpoints.values() if ep.instance_id == instance_id and ep.role is role
+        ]
 
     def ordered_caches(
         self, instance_id: str, from_attachment: tuple[str, int] | None = None
@@ -322,28 +296,3 @@ class IcnRegistry:
                 for _, p in sorted(self.providers.items())
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict, topology: Topology | None = None) -> "IcnRegistry":
-        registry = cls(topology)
-        id_map: dict[str, str] = {}
-        for inst in data.get("instances", []):
-            created = registry.create_instance(inst["name"], inst.get("description", ""), inst["type"])
-            id_map[inst["instance_id"]] = created.instance_id
-        for ep in data.get("endpoints", []):
-            registry.register_endpoint(
-                id_map[ep["instance"]],
-                ep["role"],
-                ep["mac"],
-                ep["ip"],
-                ep["port"],
-                ep["location"]["dpid"],
-                ep["location"]["port"],
-                ep.get("type", ""),
-                ep.get("isProactive", False),
-            )
-        for p in data.get("providers", []):
-            registry.register_provider(
-                id_map[p["instance"]], p["name"], p["network"], p["uripattern"], p["hostpattern"]
-            )
-        return registry

@@ -29,7 +29,7 @@ from .events import EventKind, EventLoop
 from .flows import FlowManager, InstallState, PathInstallation, tcp_header
 from .mpd import MpdManifest, parse_mpd, resolve_chain, _url_path
 from .proxy import ProxySession, attempt_offsets
-from .registry import EndpointRole, IcnRegistry, IcnType, NetworkEndpoint
+from .registry import IcnRegistry, IcnType, NetworkEndpoint
 from .scenario import ScenarioConfig, ScenarioKind
 from .topology import Host, Topology
 from .transfer import TransferManager, host_path

@@ -16,7 +16,6 @@ from urllib.parse import parse_qs, urlsplit
 from urllib.request import Request, urlopen
 
 from .controller import (
-    MANAGEMENT_PATHS,
     PROXY_REQUEST_PATH,
     IcnController,
     ImmediateHooks,
@@ -101,10 +100,8 @@ class _ControlHandler(BaseHTTPRequestHandler):
         self._respond(status, body)
 
     def do_GET(self) -> None:  # noqa: N802
-        if self._route() == "onos/icn/icn":
-            self._respond(200, self.controller.registry.to_dict())
-        else:
-            self._respond(404, {"error": "UnknownPath", "message": self.path})
+        status, body = self.controller.handle_management_request("GET", self._route(), {})
+        self._respond(status, body)
 
     def _handle_proxy_request(self, params: dict) -> None:
         from .proxy import ProxyRequestNotification

@@ -59,13 +59,6 @@ def host_path(topology: Topology, src: Host, dst: Host) -> TransferPath:
     return TransferPath(segments)
 
 
-def closed_form_time_ms(path: TransferPath, size_bytes: float) -> float:
-    """Uncontended completion time: sum of latencies + size over the bottleneck."""
-    bottleneck = min((s.bandwidth_mbps for s in path.segments), default=math.inf)
-    drain = 0.0 if size_bytes == 0 or math.isinf(bottleneck) else (size_bytes * 8) / (bottleneck * 1000.0)
-    return path.latency_ms + drain
-
-
 @dataclass
 class Transfer:
     transfer_id: int
@@ -147,6 +140,3 @@ class TransferManager:
                 del self._link_capacity[key]
         self._rebalance()
         self.loop.schedule(transfer.path.latency_ms, transfer.on_complete)
-
-    def active_count(self) -> int:
-        return len(self._active)

@@ -67,18 +67,12 @@ def test_bad_failure_rate_rejected():
 def test_warm_respects_admission_model():
     lossless = CacheNode("c1")
     assert lossless.warm([("/a", 1), ("/b", 1)]) == 2
-    assert lossless.serve("/a").is_hit
+    assert lossless.serve("/a") is CacheResult.HIT
 
     lossy = CacheNode("c2", admission_failure_rate=0.5, rng=random.Random(3))
     stored = lossy.warm([(f"/u{i}", 1) for i in range(100)])
     assert stored == len(lossy)
     assert 20 < stored < 80  # the roll actually happened
-
-
-def test_serve_and_fill_convenience():
-    cache = CacheNode("c1")
-    assert cache.serve_and_fill("/a", 512) is CacheResult.MISS_FILLED
-    assert cache.serve_and_fill("/a", 512) is CacheResult.HIT
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,8 +87,10 @@ def test_results_and_capacity_invariants(urls, capacity, rate, seed):
                       rng=random.Random(seed))
     for url in urls:
         stored_before = url in cache
-        result = cache.serve_and_fill(url, 100)
-        assert result.is_hit == stored_before
+        result = cache.serve(url)
+        if result is CacheResult.MISS_FILLED:
+            cache.complete_fill(url, 100)
+        assert (result is CacheResult.HIT) == stored_before
         # a request stores its object exactly when it was a hit or an admitted miss
         assert (url in cache) == (result is not CacheResult.SWAPFAIL_MISS)
         assert len(cache) <= capacity

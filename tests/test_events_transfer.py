@@ -8,7 +8,6 @@ from icnsim.transfer import (
     PathSegment,
     TransferManager,
     TransferPath,
-    closed_form_time_ms,
     host_path,
 )
 
@@ -56,7 +55,7 @@ def test_emit_assigns_processing_order_ordinals():
 
 def test_format_line_is_stable_and_parseable(tmp_path):
     loop = EventLoop()
-    loop.schedule(1.5, kind=EventKind.CLIENT_REQUEST, payload={"url": "/a", "client": "c1"})
+    loop.schedule(1.5, lambda: loop.emit(EventKind.CLIENT_REQUEST, {"url": "/a", "client": "c1"}))
     loop.run()
     line = loop.records[0].format_line()
     assert line == '1.500000\t1\tClientRequest\t{"client":"c1","url":"/a"}'
@@ -84,14 +83,12 @@ def run_transfers(starts):
     for i, (at, size) in enumerate(starts):
         loop.schedule(at, lambda i=i, size=size: launch(i, size))
     loop.run()
-    assert manager.active_count() == 0
     return done
 
 
 def test_single_transfer_closed_form():
     done = run_transfers([(0.0, MB)])
-    assert done[0] == pytest.approx(1010.0)
-    assert closed_form_time_ms(single_link_path(), MB) == pytest.approx(1010.0)
+    assert done[0] == pytest.approx(1010.0)  # 8 Mbit over 8 Mbit/s, plus 10 ms
 
 
 def test_two_simultaneous_transfers_share_the_link():
@@ -119,13 +116,12 @@ def test_bottleneck_is_the_thinnest_segment():
         PathSegment("thin", 8.0, 2.0),
         PathSegment("fat2", 100.0, 3.0),
     ])
-    assert closed_form_time_ms(path, MB) == pytest.approx(1006.0)
     loop = EventLoop()
     manager = TransferManager(loop)
     done = []
     manager.start(path, MB, lambda: done.append(loop.now))
     loop.run()
-    assert done == [pytest.approx(1006.0)]
+    assert done == [pytest.approx(1006.0)]  # 8 Mbit over the 8 Mbit/s segment, plus 6 ms
 
 
 def test_infinite_bandwidth_path_is_pure_latency():
@@ -199,14 +195,15 @@ def test_spawn_resumes_when_a_transfer_completes():
     woke = []
 
     def downloader():
-        yield lambda resume: manager.start(single_link_path(), MB, resume)
-        woke.append(loop.now)
+        for _ in range(2):
+            yield lambda resume: manager.start(single_link_path(), MB, resume)
+            woke.append(loop.now)
 
     loop.spawn(downloader())
     assert woke == []  # nothing ran past the wait before the loop did
     loop.run()
-    assert woke == [pytest.approx(1010.0)]
-    assert manager.active_count() == 0
+    # the second transfer gets the whole link, so the first was released
+    assert woke == [pytest.approx(1010.0), pytest.approx(2020.0)]
 
 
 def test_spawn_yield_from_returns_the_sub_process_value():

@@ -144,11 +144,12 @@ def test_teardown_restores_default_routing_and_is_idempotent():
 def test_proactive_rules_cover_every_switch_but_spare_passthrough_sources():
     topo, flows = make_fabric()
     client, proxy, _cache, origin = hosts(topo)
-    flows.install_proactive_redirect(proxy, 8080)
+    trap = flows.install_proactive_redirect(proxy, 8080)
     flows.install_passthrough(proxy.ip)
 
-    for dpid in topo.switches:
-        assert any(r.priority == PRIORITY_PROACTIVE for r in flows.rules_at(dpid))
+    assert trap.state is InstallState.ACTIVE
+    trapped = sorted(r.dpid for r in trap.forward_rules if r.priority == PRIORITY_PROACTIVE)
+    assert trapped == sorted(topo.switches)
 
     syn = tcp_header(client.mac, client.ip, 34001, origin.mac, origin.ip, 80)
     assert flows.packet_walk(client, syn).delivered_to == "proxy"
@@ -163,9 +164,10 @@ def test_passthrough_and_default_route_are_reused_not_duplicated():
     topo, flows = make_fabric()
     client, _proxy, _cache, origin = hosts(topo)
     flows.install_passthrough(client.ip)
-    count = sum(len(flows.rules_at(d)) for d in topo.switches)
+    passthrough = flows.installations[("passthrough", client.ip)]
     flows.install_passthrough(client.ip)
-    assert sum(len(flows.rules_at(d)) for d in topo.switches) == count
+    assert flows.installations[("passthrough", client.ip)] is passthrough
+    assert len(flows.installations) == 1
 
     first = flows.install_default_route(client, origin)
     flows.activate(first)

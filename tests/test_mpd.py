@@ -1,4 +1,5 @@
 import importlib.util
+import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
@@ -19,12 +20,10 @@ from icnsim.mpd import (
     Representation,
     UrlKind,
     classify_url,
-    format_iso_duration,
     is_mpd_url,
     parse_iso_duration,
     parse_mpd,
     resolve_chain,
-    serialize_mpd,
 )
 
 MPD_URL = "http://concert.itec.aau.at/SVCDataset/dataset/mpd-temp/bbb_svc_50.mpd"
@@ -36,6 +35,31 @@ SPINE = [0, 1, 2, 16, 17, 18, 32, 33, 34, 48, 49]
 def bbb():
     text = resources.files("icnsim.data").joinpath("bbb_svc_50.mpd").read_bytes()
     return parse_mpd(text, MPD_URL)
+
+
+def serialize_mpd(manifest: MpdManifest) -> bytes:
+    """The manifest as MPD XML in SegmentList form: the list-form twin of a template fixture."""
+    root = ET.Element("MPD", {
+        "xmlns": "urn:mpeg:dash:schema:mpd:2011",
+        "mediaPresentationDuration": f"PT{manifest.duration_s:g}S",
+        "type": "static",
+    })
+    period = ET.SubElement(root, "Period")
+    aset = ET.SubElement(period, "AdaptationSet", {"mimeType": "video/mp4"})
+    timescale = 1000
+    for rid in sorted(manifest.representations):
+        rep = manifest.representations[rid]
+        attrs = {"id": str(rid), "bandwidth": str(rep.bandwidth)}
+        if rep.dependency_ids:
+            attrs["dependencyId"] = " ".join(str(d) for d in rep.dependency_ids)
+        rep_el = ET.SubElement(aset, "Representation", attrs)
+        seg_list = ET.SubElement(rep_el, "SegmentList", {
+            "duration": str(round(manifest.segment_duration_s * timescale)),
+            "timescale": str(timescale),
+        })
+        for url in rep.segment_urls:
+            ET.SubElement(seg_list, "SegmentURL", {"media": url})
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
 def test_generator_reproduces_the_packaged_manifest():
@@ -80,7 +104,7 @@ def test_iso_durations():
     assert parse_iso_duration("PT16S") == 16.0
     assert parse_iso_duration("PT1H2M3.5S") == 3723.5
     assert parse_iso_duration("P1DT1S") == 86401.0
-    assert parse_iso_duration(format_iso_duration(598.0)) == 598.0
+    assert parse_iso_duration("PT598S") == 598.0
     for bad in ("", "P", "PT", "9M58S", "PT9X"):
         with pytest.raises(MalformedXml):
             parse_iso_duration(bad)
@@ -199,6 +223,29 @@ def test_template_start_number():
             '<Representation id="1" bandwidth="2"><SegmentTemplate media="same" duration="2"/></Representation>'
             "</AdaptationSet></Period></MPD>",
             DuplicateSegmentUrl,
+        ),
+        # a segment duration (duration / timescale) that is not finite and positive
+        *(
+            (
+                '<MPD mediaPresentationDuration="PT4S"><Period><AdaptationSet>'
+                f'<Representation id="0" bandwidth="1">{source}</Representation>'
+                "</AdaptationSet></Period></MPD>",
+                MalformedXml,
+            )
+            for source in [
+                '<SegmentTemplate media="s$Number$" duration="2" timescale="0"/>',
+                '<SegmentTemplate media="s$Number$" duration="2" timescale="inf"/>',
+                '<SegmentTemplate media="s$Number$" duration="nan"/>',
+                '<SegmentTemplate media="s$Number$" duration="2" timescale="nan"/>',
+                '<SegmentTemplate media="s$Number$" duration="2" timescale="-1"/>',
+                '<SegmentTemplate media="s$Number$" duration="1e-320"/>',  # count overflows to inf
+                '<SegmentTemplate media="s$Number$" duration="1e-10" timescale="1e308"/>',
+                '<SegmentTemplate media="s$Number$" duration="1e-9"/>',  # four billion URLs
+                '<SegmentList duration="2" timescale="0"><SegmentURL media="a"/></SegmentList>',
+                '<SegmentList duration="2" timescale="inf"><SegmentURL media="a"/></SegmentList>',
+                '<SegmentList duration="2" timescale="-1"><SegmentURL media="a"/></SegmentList>',
+                '<SegmentList duration="nan"><SegmentURL media="a"/></SegmentList>',
+            ]
         ),
     ],
 )

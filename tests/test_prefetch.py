@@ -45,8 +45,8 @@ def test_allocation_layer_sets_for_the_default_video():
     # layers that belong to the far one
     alloc = allocate_layers(50, ["c1", "c2"])
     chain33 = [0, 1, 2, 16, 17, 18, 32, 33]
-    assert alloc.layers_for("c1", chain33) == [0, 1, 2, 16, 17, 18]
-    assert alloc.layers_for("c2", chain33) == [32, 33]
+    assert [rid for rid in chain33 if alloc.cache_for(rid) == "c1"] == [0, 1, 2, 16, 17, 18]
+    assert [rid for rid in chain33 if alloc.cache_for(rid) == "c2"] == [32, 33]
 
 
 def test_allocation_rejects_degenerate_inputs():

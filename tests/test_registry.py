@@ -126,15 +126,44 @@ def test_delete_cascades():
         registry.delete_endpoint(ep.endpoint_id)
 
 
-def test_delete_endpoint_updates_instance_lists():
+def test_delete_endpoint_drops_it_from_its_instance():
     registry = IcnRegistry()
     inst = registry.create_instance("bbb", "", "PLAIN")
     ep = registry.register_endpoint(inst.instance_id, "proxy", "aa:00:00:00:00:01", "10.0.0.2", 8080, "s1", 1)
     registry.delete_endpoint(ep.endpoint_id)
-    assert inst.proxy_ids == []
+    assert registry.instance_endpoints(inst.instance_id, EndpointRole.PROXY) == []
 
 
-def test_serialization_round_trip():
+def test_instance_endpoints_keep_registration_order_per_instance_and_role():
+    registry = IcnRegistry()
+    a = registry.create_instance("a", "", "PLAIN").instance_id
+    b = registry.create_instance("b", "", "PLAIN").instance_id
+    registered = [
+        registry.register_endpoint(instance, role, f"aa:00:00:00:00:{i:02x}", f"10.0.0.{i}", 3128, "s1", i)
+        for i, (instance, role) in enumerate(
+            [(a, "cache"), (b, "cache"), (a, "proxy"), (a, "cache"), (b, "prefetch"), (a, "cache")], start=1
+        )
+    ]
+
+    def ids(instance, role):
+        return [ep.endpoint_id for ep in registry.instance_endpoints(instance, role)]
+
+    assert ids(a, EndpointRole.CACHE) == [registered[i].endpoint_id for i in (0, 3, 5)]
+    assert ids(a, EndpointRole.PROXY) == [registered[2].endpoint_id]
+    assert ids(b, EndpointRole.CACHE) == [registered[1].endpoint_id]
+    assert ids(b, EndpointRole.PREFETCHER) == [registered[4].endpoint_id]
+
+    registry.register_provider(b, "p", "10.0.0.0/24", ".*", ".*")
+    registry.delete_endpoint(registered[3].endpoint_id)
+    assert ids(a, EndpointRole.CACHE) == [registered[i].endpoint_id for i in (0, 5)]
+    registry.delete_instance(a)
+    assert sorted(registry.endpoints) == sorted(registered[i].endpoint_id for i in (1, 4))
+    assert [p.instance_id for p in registry.providers.values()] == [b]
+    with pytest.raises(UnknownInstance):
+        registry.instance_endpoints(a, EndpointRole.CACHE)
+
+
+def test_to_dict_reports_every_registered_field():
     registry = IcnRegistry()
     inst = registry.create_instance("bbb", "layered video", "DISTRIBUTED_SVC_PREFETCH")
     registry.register_endpoint(
@@ -143,11 +172,24 @@ def test_serialization_round_trip():
     )
     registry.register_endpoint(inst.instance_id, "cache", "aa:00:00:00:00:02", "10.0.0.3", 3128, "s2", 2, endpoint_type="squid")
     registry.register_provider(inst.instance_id, "p", "10.0.0.0/24", "/SVC.*", "concert.*")
-    data = registry.to_dict()
-    clone = IcnRegistry.from_dict(data)
-    assert clone.to_dict() == data
-    assert clone.endpoints["proxy-0001"].is_proactive is True
-    assert clone.endpoints["cache-0001"].endpoint_type == "squid"
+    assert registry.to_dict() == {
+        "instances": [
+            {"instance_id": "icn-0001", "name": "bbb", "description": "layered video",
+             "type": "DISTRIBUTED_SVC_PREFETCH"},
+        ],
+        "endpoints": [
+            {"endpoint_id": "cache-0001", "instance": "icn-0001", "role": "cache", "mac": "aa:00:00:00:00:02",
+             "ip": "10.0.0.3", "port": 3128, "location": {"dpid": "s2", "port": 2}, "type": "squid",
+             "isProactive": False},
+            {"endpoint_id": "proxy-0001", "instance": "icn-0001", "role": "proxy", "mac": "aa:00:00:00:00:01",
+             "ip": "10.0.0.2", "port": 8080, "location": {"dpid": "s1", "port": 1}, "type": "delayed-binding",
+             "isProactive": True},
+        ],
+        "providers": [
+            {"provider_id": "provider-0001", "instance": "icn-0001", "name": "p", "network": "10.0.0.0/24",
+             "uripattern": "/SVC.*", "hostpattern": "concert.*"},
+        ],
+    }
 
 
 # -- the REST face shared with the HTTP service ------------------------------
@@ -243,8 +285,10 @@ def test_rest_registering_proactive_proxy_installs_trap():
          "isProactive": True},
     )
     assert status == 201
-    from icnsim.flows import PRIORITY_PASSTHROUGH, PRIORITY_PROACTIVE
+    from icnsim.flows import PRIORITY_PASSTHROUGH, PRIORITY_PROACTIVE, InstallState
 
-    priorities = {r.priority for d in topo.switches for r in ctrl.flows.rules_at(d)}
+    installed = ctrl.flows.installations.values()
+    assert all(i.state is InstallState.ACTIVE for i in installed)
+    priorities = {r.priority for i in installed for r in i.forward_rules}
     assert PRIORITY_PROACTIVE in priorities
     assert PRIORITY_PASSTHROUGH in priorities

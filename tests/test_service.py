@@ -90,6 +90,19 @@ def test_rest_round_trip(control):
     assert status == 404
 
 
+def test_registry_listing_waits_for_the_controller_lock(control):
+    controller, base = control
+    assert call(base, "POST", "onos/icn/icn", {"name": "bbb", "type": "PLAIN"})[0] == 201
+    answers = []
+    with controller._lock:
+        thread = threading.Thread(target=lambda: answers.append(call(base, "GET", "onos/icn/icn")))
+        thread.start()
+        thread.join(timeout=0.2)
+        assert answers == []  # the handler waits on the lock this thread holds
+    thread.join(timeout=5.0)
+    assert answers == [(200, controller.registry.to_dict())]
+
+
 def test_rest_proxyrequest_default_gateway(control):
     _, base = control
     status, body = call(base, "POST", "onos/icn/proxyrequest", {
@@ -220,8 +233,12 @@ def proxyrequest(uri, sport, source_ip="10.0.0.9", hostname="video.example"):
 
 @pytest.mark.parametrize(
     "payload",
-    [b"<MPD mediaPresentationDuration=", SMALL_MPD.replace('bandwidth="400000"', 'bandwidth="fast"').encode()],
-    ids=["truncated", "non-numeric-bandwidth"],
+    [
+        b"<MPD mediaPresentationDuration=",
+        SMALL_MPD.replace('bandwidth="400000"', 'bandwidth="fast"').encode(),
+        SMALL_MPD.replace('timescale="1000"', 'timescale="0"').encode(),
+    ],
+    ids=["truncated", "non-numeric-bandwidth", "zero-timescale"],
 )
 def test_manifest_that_fails_to_parse_does_not_wedge_the_instance(payload):
     controller = make_icn_world(1, ImmediateHooks, lambda path, host: payload, "DISTRIBUTED_SVC_PREFETCH")
