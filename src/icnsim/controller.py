@@ -22,13 +22,13 @@ from .proxy import ProxyRequestNotification
 from .registry import EndpointRole, IcnInstance, IcnRegistry, NetworkEndpoint
 from .topology import Host, Topology
 
-MANAGEMENT_PATHS = (
-    "onos/icn/icn",
-    "onos/icn/proxy",
-    "onos/icn/prefetch",
-    "onos/icn/cache",
-    "onos/icn/provider",
-)
+# Endpoint collections of the management API: the role each registers and
+# the request field that carries the endpoint's service port.
+ENDPOINT_PATHS = {
+    "onos/icn/proxy": (EndpointRole.PROXY, "proxy_port"),
+    "onos/icn/prefetch": (EndpointRole.PREFETCHER, "prefetch_port"),
+    "onos/icn/cache": (EndpointRole.CACHE, "port"),
+}
 PROXY_REQUEST_PATH = "onos/icn/proxyrequest"
 
 
@@ -125,6 +125,16 @@ def endpoint_host(endpoint: NetworkEndpoint) -> Host:
     )
 
 
+def _registration_flows(endpoint: NetworkEndpoint) -> set[tuple]:
+    """Keys of the installations that registering ``endpoint`` puts in place."""
+    keys: set[tuple] = set()
+    if endpoint.role in (EndpointRole.PROXY, EndpointRole.CACHE):
+        keys.add(("passthrough", endpoint.ip))
+    if endpoint.role is EndpointRole.PROXY and endpoint.is_proactive:
+        keys.add(("proactive", endpoint.ip, endpoint.port))
+    return keys
+
+
 class IcnController:
     def __init__(
         self,
@@ -193,13 +203,8 @@ class IcnController:
                 params["name"], params.get("description", ""), params["type"]
             )
             return 201, {"id": instance.instance_id}
-        if path in ("onos/icn/proxy", "onos/icn/prefetch", "onos/icn/cache"):
-            role = {
-                "onos/icn/proxy": EndpointRole.PROXY,
-                "onos/icn/prefetch": EndpointRole.PREFETCHER,
-                "onos/icn/cache": EndpointRole.CACHE,
-            }[path]
-            port_key = {"onos/icn/proxy": "proxy_port", "onos/icn/prefetch": "prefetch_port", "onos/icn/cache": "port"}[path]
+        if path in ENDPOINT_PATHS:
+            role, port_key = ENDPOINT_PATHS[path]
             location = params["location"]
             endpoint = self.registry.register_endpoint(
                 params["instance"],
@@ -226,16 +231,22 @@ class IcnController:
         return 404, {"error": "UnknownPath", "message": path}
 
     def _handle_delete(self, path: str) -> tuple[int, dict]:
-        parts = path.split("/")
-        if len(parts) != 4 or "/".join(parts[:3]) not in MANAGEMENT_PATHS:
-            return 404, {"error": "UnknownPath", "message": path}
-        kind, target = parts[2], parts[3]
-        if kind == "icn":
+        collection, _, target = path.rpartition("/")
+        if collection == "onos/icn/icn":
+            removed = [ep for ep in self.registry.endpoints.values() if ep.instance_id == target]
             self.registry.delete_instance(target)
-        elif kind == "provider":
+            self._release_flows(removed)
+        elif collection == "onos/icn/provider":
             self.registry.delete_provider(target)
-        else:
+        elif collection in ENDPOINT_PATHS:
+            role = ENDPOINT_PATHS[collection][0]
+            endpoint = self.registry.endpoints.get(target)
+            if endpoint is None or endpoint.role is not role:
+                raise UnknownInstance(f"no {role.value} endpoint {target!r}")
             self.registry.delete_endpoint(target)
+            self._release_flows([endpoint])
+        else:
+            return 404, {"error": "UnknownPath", "message": path}
         return 200, {"id": target}
 
     def _after_endpoint_registered(self, endpoint: NetworkEndpoint) -> None:
@@ -245,6 +256,14 @@ class IcnController:
             self.flows.install_passthrough(endpoint.ip)
         if endpoint.role is EndpointRole.PROXY and endpoint.is_proactive:
             self.flows.install_proactive_redirect(endpoint_host(endpoint), endpoint.port)
+
+    def _release_flows(self, removed: list[NetworkEndpoint]) -> None:
+        """Tear down what registering ``removed`` installed and no remaining endpoint needs."""
+        kept = set().union(*map(_registration_flows, self.registry.endpoints.values()))
+        for key in set().union(*map(_registration_flows, removed)) - kept:
+            installation = self.flows.installations.get(key)
+            if installation is not None:
+                self.flows.teardown(installation)
 
     # -- data plane events -----------------------------------------------------
 
@@ -269,7 +288,7 @@ class IcnController:
                 nearest = min(
                     proxies,
                     key=lambda ep: (
-                        self.topology.switch_path_latency(src_host.dpid, ep.location[0]),
+                        self.topology.route(src_host.dpid, ep.location[0]).latency_ms,
                         ep.endpoint_id,
                     ),
                 )

@@ -10,11 +10,11 @@ the simulator itself) can check what each endpoint actually observes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateSession
-from .topology import Host, Link, Topology
+from .topology import Host, Route, Topology
 
 PRIORITY_SESSION = 100
 PRIORITY_PASSTHROUGH = 60
@@ -148,7 +148,7 @@ class FlowManager:
 
     def _forward_chain(
         self,
-        path: list[str],
+        route: Route,
         first_match: dict[str, object],
         rewrites: list[SetField],
         rewritten_match: dict[str, object],
@@ -156,15 +156,49 @@ class FlowManager:
         priority: int,
     ) -> list[FlowRule]:
         """First hop rewrites and forwards, later hops only forward."""
-        rules = []
-        for idx, dpid in enumerate(path):
-            last = idx == len(path) - 1
-            port = final_port if last else self.topology.egress_port(dpid, path[idx + 1])
-            if idx == 0:
-                rules.append(rule(dpid, priority, first_match, [*rewrites, Output(port)]))
-            else:
-                rules.append(rule(dpid, priority, rewritten_match, [Output(port)]))
+        hops = zip(route.dpids, (*route.ports, final_port))
+        dpid, port = next(hops)
+        rules = [rule(dpid, priority, first_match, [*rewrites, Output(port)])]
+        rules.extend(rule(dpid, priority, rewritten_match, [Output(port)]) for dpid, port in hops)
         return rules
+
+    def _divert(
+        self,
+        key: tuple,
+        src: Host,
+        src_port: int | None,
+        original_dst: tuple[str, str, int],
+        target: Host,
+        target_port: int,
+    ) -> PathInstallation:
+        """Rewrite src's traffic for original_dst onto target and back.
+
+        The reverse rules restore the original (mac, ip, port) so src never
+        learns the target was involved.  With ``src_port`` None the pair
+        covers every source port src opens toward original_dst.
+        """
+        dst_mac, dst_ip, dst_port = original_dst
+        out_pin = {} if src_port is None else {"tcp_src": src_port}
+        back_pin = {} if src_port is None else {"tcp_dst": src_port}
+        forward = self._forward_chain(
+            self.topology.route(src.dpid, target.dpid),
+            first_match={"ip_src": src.ip, "ip_dst": dst_ip, "ip_proto": 6, "tcp_dst": dst_port, **out_pin},
+            rewrites=[SetField("eth_dst", target.mac), SetField("ip_dst", target.ip), SetField("tcp_dst", target_port)],
+            rewritten_match={"ip_src": src.ip, "ip_dst": target.ip, "ip_proto": 6, "tcp_dst": target_port, **out_pin},
+            final_port=target.port,
+            priority=PRIORITY_SESSION,
+        )
+        reverse = self._forward_chain(
+            self.topology.route(target.dpid, src.dpid),
+            first_match={"ip_src": target.ip, "tcp_src": target_port, "ip_dst": src.ip, "ip_proto": 6, **back_pin},
+            rewrites=[SetField("eth_src", dst_mac), SetField("ip_src", dst_ip), SetField("tcp_src", dst_port)],
+            rewritten_match={"ip_src": dst_ip, "tcp_src": dst_port, "ip_dst": src.ip, "ip_proto": 6, **back_pin},
+            final_port=src.port,
+            priority=PRIORITY_SESSION,
+        )
+        installation = PathInstallation(key, forward, reverse)
+        self.installations[key] = installation
+        return installation
 
     def install_redirect_to_proxy(
         self,
@@ -173,37 +207,11 @@ class FlowManager:
         proxy: Host,
         proxy_port: int,
     ) -> PathInstallation:
-        """Steer client traffic for one original destination into the proxy.
-
-        The client keeps addressing the original (mac, ip, port); the reverse
-        rules restore those values on the way back so it never learns a proxy
-        was involved.
-        """
-        dst_mac, dst_ip, dst_port = original_dst
-        fwd_path = self.topology.shortest_path(client.dpid, proxy.dpid)
-        forward = self._forward_chain(
-            fwd_path,
-            first_match={"ip_src": client.ip, "ip_dst": dst_ip, "ip_proto": 6, "tcp_dst": dst_port},
-            rewrites=[SetField("eth_dst", proxy.mac), SetField("ip_dst", proxy.ip), SetField("tcp_dst", proxy_port)],
-            rewritten_match={"ip_src": client.ip, "ip_dst": proxy.ip, "ip_proto": 6, "tcp_dst": proxy_port},
-            final_port=proxy.port,
-            priority=PRIORITY_SESSION,
-        )
-        rev_path = self.topology.shortest_path(proxy.dpid, client.dpid)
-        reverse = self._forward_chain(
-            rev_path,
-            first_match={"ip_src": proxy.ip, "ip_dst": client.ip, "ip_proto": 6, "tcp_src": proxy_port},
-            rewrites=[SetField("eth_src", dst_mac), SetField("ip_src", dst_ip), SetField("tcp_src", dst_port)],
-            rewritten_match={"ip_src": dst_ip, "ip_dst": client.ip, "ip_proto": 6, "tcp_src": dst_port},
-            final_port=client.port,
-            priority=PRIORITY_SESSION,
-        )
+        """Steer client traffic for one original destination into the proxy."""
         # Source port is deliberately absent: one redirect covers every
         # session the client opens toward this destination.
-        key = (client.ip, 0, dst_ip, dst_port)
-        installation = PathInstallation(key, forward, reverse)
-        self.installations[key] = installation
-        return installation
+        key = (client.ip, 0, original_dst[1], original_dst[2])
+        return self._divert(key, client, None, original_dst, proxy, proxy_port)
 
     def install_proxy_to_cache(
         self,
@@ -224,29 +232,8 @@ class FlowManager:
             if existing.state is not InstallState.REMOVED:
                 raise DuplicateSession(f"session {session_key} already installed")
         src_ip, src_port, dst_ip, dst_port = session_key
-        dst_mac, vdst_ip, vdst_port = virtual_dst
-        assert (dst_ip, dst_port) == (vdst_ip, vdst_port)
-        fwd_path = self.topology.shortest_path(proxy.dpid, cache.dpid)
-        forward = self._forward_chain(
-            fwd_path,
-            first_match={"ip_src": src_ip, "tcp_src": src_port, "ip_dst": dst_ip, "ip_proto": 6, "tcp_dst": dst_port},
-            rewrites=[SetField("eth_dst", cache.mac), SetField("ip_dst", cache.ip), SetField("tcp_dst", cache_port)],
-            rewritten_match={"ip_src": src_ip, "tcp_src": src_port, "ip_dst": cache.ip, "ip_proto": 6, "tcp_dst": cache_port},
-            final_port=cache.port,
-            priority=PRIORITY_SESSION,
-        )
-        rev_path = self.topology.shortest_path(cache.dpid, proxy.dpid)
-        reverse = self._forward_chain(
-            rev_path,
-            first_match={"ip_src": cache.ip, "tcp_src": cache_port, "ip_dst": src_ip, "ip_proto": 6, "tcp_dst": src_port},
-            rewrites=[SetField("eth_src", dst_mac), SetField("ip_src", dst_ip), SetField("tcp_src", dst_port)],
-            rewritten_match={"ip_src": dst_ip, "tcp_src": dst_port, "ip_dst": src_ip, "ip_proto": 6, "tcp_dst": src_port},
-            final_port=proxy.port,
-            priority=PRIORITY_SESSION,
-        )
-        installation = PathInstallation(session_key, forward, reverse)
-        self.installations[session_key] = installation
-        return installation
+        assert (src_ip, dst_ip, dst_port) == (proxy.ip, *virtual_dst[1:])
+        return self._divert(session_key, proxy, src_port, virtual_dst, cache, cache_port)
 
     def install_proactive_redirect(self, proxy: Host, proxy_port: int) -> PathInstallation:
         """Pre-position a coarse port-80 redirect toward a proxy everywhere.
@@ -255,22 +242,14 @@ class FlowManager:
         machinery itself (caches pulling from origins, the proxy dialing
         upstream) out of the trap.
         """
-        rules = []
-        for dpid in self.topology.switches:
-            if dpid == proxy.dpid:
-                port = proxy.port
-            else:
-                path = self.topology.shortest_path(dpid, proxy.dpid)
-                port = self.topology.egress_port(dpid, path[1])
-            rules.append(
-                rule(
-                    dpid,
-                    PRIORITY_PROACTIVE,
-                    {"ip_proto": 6, "tcp_dst": 80},
-                    [SetField("eth_dst", proxy.mac), SetField("ip_dst", proxy.ip), SetField("tcp_dst", proxy_port), Output(port)],
-                )
-            )
         key = ("proactive", proxy.ip, proxy_port)
+        if key in self.installations:
+            return self.installations[key]
+        rewrites = [SetField("eth_dst", proxy.mac), SetField("ip_dst", proxy.ip), SetField("tcp_dst", proxy_port)]
+        rules = [
+            rule(dpid, PRIORITY_PROACTIVE, {"ip_proto": 6, "tcp_dst": 80}, [*rewrites, Output(self._toward(dpid, proxy))])
+            for dpid in self.topology.switches
+        ]
         installation = PathInstallation(key, rules, [])
         self.installations[key] = installation
         self.activate(installation)
@@ -294,17 +273,18 @@ class FlowManager:
         key = (a.ip, 0, b.ip, 0)
         if key in self.installations and self.installations[key].state is not InstallState.REMOVED:
             return self.installations[key]
-        fwd_path = self.topology.shortest_path(a.dpid, b.dpid)
+        route = self.topology.route(a.dpid, b.dpid)
         forward = self._forward_chain(
-            fwd_path,
+            route,
             first_match={"ip_src": a.ip, "ip_dst": b.ip},
             rewrites=[],
             rewritten_match={"ip_src": a.ip, "ip_dst": b.ip},
             final_port=b.port,
             priority=PRIORITY_DEFAULT_GW,
         )
+        # The same links backwards, so both directions share one path.
         reverse = self._forward_chain(
-            list(reversed(fwd_path)),
+            route.reversed(),
             first_match={"ip_src": b.ip, "ip_dst": a.ip},
             rewrites=[],
             rewritten_match={"ip_src": b.ip, "ip_dst": a.ip},
@@ -321,8 +301,6 @@ class FlowManager:
         """Push a header from a host through the tables until it lands somewhere."""
         hdr = dict(header)
         dpid, in_port = start.attachment
-        dpid_path = [dpid]
-        links: list[Link] = []
         for _ in range(4 * len(self.topology.switches) + 4):
             matched = self.lookup(dpid, hdr, in_port)
             if matched is not None:
@@ -337,35 +315,32 @@ class FlowManager:
             else:
                 step = self._default_step(dpid, hdr)
             if step is None:
-                return WalkResult(None, hdr, dpid_path, links, "no-route")
+                return WalkResult(None, hdr, "no-route")
             host = self.topology.host_at(dpid, step)
             if host is not None:
-                return WalkResult(host.host_id, hdr, dpid_path, links, "delivered")
+                return WalkResult(host.host_id, hdr, "delivered")
             peer = self.topology.peer_port(dpid, step)
             if peer is None:
-                return WalkResult(None, hdr, dpid_path, links, "dangling-port")
-            links.append(self.topology.link_at(dpid, step))
+                return WalkResult(None, hdr, "dangling-port")
             dpid, in_port = peer
-            dpid_path.append(dpid)
-        return WalkResult(None, hdr, dpid_path, links, "loop-guard")
+        return WalkResult(None, hdr, "loop-guard")
 
     def _default_step(self, dpid: str, header: dict[str, object]) -> int | None:
         """Destination-based routing used when no rule claims the packet."""
         host = self.topology.host_by_ip(str(header.get("ip_dst")))
-        if host is None:
-            return None
-        if host.dpid == dpid:
+        return None if host is None else self._toward(dpid, host)
+
+    def _toward(self, dpid: str, host: Host) -> int:
+        """The port by which dpid sends a packet on toward host."""
+        if dpid == host.dpid:
             return host.port
-        path = self.topology.shortest_path(dpid, host.dpid)
-        return self.topology.egress_port(dpid, path[1])
+        return self.topology.route(dpid, host.dpid).ports[0]
 
 
 @dataclass
 class WalkResult:
     delivered_to: str | None
     header: dict[str, object]
-    dpid_path: list[str]
-    links: list[Link] = field(default_factory=list)
     reason: str = "delivered"
 
 

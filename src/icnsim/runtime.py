@@ -520,9 +520,7 @@ class SimWorld:
             client_host = self.topology.host(self.config.client.host)
             cache_specs.sort(
                 key=lambda s: (
-                    self.topology.switch_path_latency(
-                        client_host.dpid, self.topology.host(s.host).dpid
-                    ),
+                    self.topology.route(client_host.dpid, self.topology.host(s.host).dpid).latency_ms,
                     s.host,
                 )
             )

@@ -35,6 +35,9 @@ class Link:
             return self.a
         raise KeyError(dpid)
 
+    def port_at(self, dpid: str) -> int:
+        return self.a_port if dpid == self.a else self.b_port
+
 
 @dataclass(frozen=True)
 class Host:
@@ -52,6 +55,21 @@ class Host:
         return (self.dpid, self.port)
 
 
+@dataclass(frozen=True)
+class Route:
+    """A switch path; hop i leaves ``dpids[i]`` by ``ports[i]`` over ``links[i]``."""
+
+    dpids: tuple[str, ...]
+    ports: tuple[int, ...]
+    links: tuple[Link, ...]
+    latency_ms: float
+
+    def reversed(self) -> "Route":
+        """The same links walked backwards, which need not be ``route(dst, src)``."""
+        dpids, links = self.dpids[::-1], self.links[::-1]
+        return Route(dpids, tuple(map(Link.port_at, links, dpids)), links, self.latency_ms)
+
+
 @dataclass
 class Topology:
     switches: list[str] = field(default_factory=list)
@@ -61,6 +79,8 @@ class Topology:
     def __post_init__(self) -> None:
         self._port_peers: dict[tuple[str, int], tuple[str, int]] = {}
         self._adjacency: dict[str, list[Link]] = {s: [] for s in self.switches}
+        # The links never change after construction, so neither do the routes.
+        self._routes: dict[tuple[str, str], Route] = {}
         for link in self.links:
             self._port_peers[(link.a, link.a_port)] = (link.b, link.b_port)
             self._port_peers[(link.b, link.b_port)] = (link.a, link.a_port)
@@ -124,21 +144,6 @@ class Topology:
     def peer_port(self, dpid: str, port: int) -> tuple[str, int] | None:
         return self._port_peers.get((dpid, port))
 
-    def link_at(self, dpid: str, port: int) -> Link | None:
-        peer = self._port_peers.get((dpid, port))
-        if peer is None:
-            return None
-        for link in self._adjacency[dpid]:
-            if (link.a, link.a_port) == (dpid, port) or (link.b, link.b_port) == (dpid, port):
-                return link
-        return None
-
-    def egress_port(self, dpid: str, next_dpid: str) -> int:
-        for link in self._adjacency[dpid]:
-            if link.peer_of(dpid) == next_dpid:
-                return link.a_port if link.a == dpid else link.b_port
-        raise Unreachable(f"no link between {dpid!r} and {next_dpid!r}")
-
     # -- routing ------------------------------------------------------------
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
@@ -167,24 +172,27 @@ class Topology:
                     heapq.heappush(heap, (cost + link.latency_ms, path + (peer,)))
         raise Unreachable(f"no path from {src!r} to {dst!r}")
 
-    def path_links(self, dpids: list[str]) -> list[Link]:
-        out = []
-        for here, there in zip(dpids, dpids[1:]):
-            port = self.egress_port(here, there)
-            link = self.link_at(here, port)
-            assert link is not None
-            out.append(link)
-        return out
-
-    def switch_path_latency(self, src: str, dst: str) -> float:
-        return sum(l.latency_ms for l in self.path_links(self.shortest_path(src, dst)))
+    def route(self, src: str, dst: str) -> Route:
+        """The shortest path from src to dst, worked out once per pair."""
+        found = self._routes.get((src, dst))
+        if found is None:
+            dpids = tuple(self.shortest_path(src, dst))
+            # between parallel links, the one listed first carries the route
+            links = tuple(
+                next(l for l in self._adjacency[here] if l.peer_of(here) == there)
+                for here, there in zip(dpids, dpids[1:])
+            )
+            ports = tuple(map(Link.port_at, links, dpids))
+            found = Route(dpids, ports, links, sum(l.latency_ms for l in links))
+            self._routes[(src, dst)] = found
+        return found
 
     def host_latency(self, a: str, b: str) -> float:
         """One-way latency between two hosts including both access cables."""
         ha, hb = self.hosts[a], self.hosts[b]
         return (
             ha.access_latency_ms
-            + self.switch_path_latency(ha.dpid, hb.dpid)
+            + self.route(ha.dpid, hb.dpid).latency_ms
             + hb.access_latency_ms
         )
 
@@ -203,6 +211,6 @@ def order_by_distance(
 
     def key(item: tuple[str, tuple[str, int]]) -> tuple[float, str]:
         cand_id, (dpid, _port) = item
-        return (topology.switch_path_latency(src, dpid), cand_id)
+        return (topology.route(src, dpid).latency_ms, cand_id)
 
     return [cand_id for cand_id, _ in sorted(candidates, key=key)]

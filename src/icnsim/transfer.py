@@ -45,10 +45,8 @@ def host_path(topology: Topology, src: Host, dst: Host) -> TransferPath:
     segments = [
         PathSegment(f"host:{src.host_id}:up", src.access_bandwidth_mbps, src.access_latency_ms)
     ]
-    dpids = topology.shortest_path(src.dpid, dst.dpid)
-    for here, there in zip(dpids, dpids[1:]):
-        link = topology.link_at(here, topology.egress_port(here, there))
-        assert link is not None
+    route = topology.route(src.dpid, dst.dpid)
+    for here, there, link in zip(route.dpids, route.dpids[1:], route.links):
         # Duplex links: each direction has its own capacity pool.
         segments.append(
             PathSegment(f"{link.link_id}:{here}->{there}", link.bandwidth_mbps, link.latency_ms)

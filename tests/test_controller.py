@@ -271,3 +271,42 @@ def test_session_flows_key_on_client_source_port():
     ctrl.flows.teardown(response.installation)
     again = ctrl.handle_proxy_request(notify(topo, seg(2, 1), sport=42424))
     assert isinstance(again, SteeringResponse)
+
+
+def test_delete_names_the_endpoint_kind():
+    _, ctrl, _ = build()
+    post = ctrl.handle_management_request
+    status, body = post("DELETE", "onos/icn/cache/proxy-0001", {})
+    assert (status, body["error"]) == (404, "UnknownInstance")
+    assert post("DELETE", "onos/icn/prefetch/cache-0001", {})[0] == 404
+    assert {"proxy-0001", "cache-0001"} <= set(ctrl.registry.endpoints)
+    assert post("DELETE", "onos/icn/proxy/proxy-0001", {}) == (200, {"id": "proxy-0001"})
+    assert "proxy-0001" not in ctrl.registry.endpoints
+
+
+def test_deleting_endpoints_tears_down_their_registration_flows():
+    topo = line_topology(3, hosts={"client": "s1", "proxy": "s2", "origin": "s3"})
+    flows = FlowManager(topo)
+    ctrl = IcnController(IcnRegistry(topo), flows)
+    client, proxy, origin = topo.host("client"), topo.host("proxy"), topo.host("origin")
+    post = ctrl.handle_management_request
+    post("POST", "onos/icn/icn", {"name": "a", "type": "PLAIN"})
+    post("POST", "onos/icn/icn", {"name": "b", "type": "PLAIN"})
+    # icn-0001 runs a proxy and a cache on one appliance; icn-0002 shares its proxy
+    for instance, role, key in (
+        ("icn-0001", "proxy", "proxy_port"), ("icn-0001", "cache", "port"), ("icn-0002", "proxy", "proxy_port"),
+    ):
+        post("POST", f"onos/icn/{role}",
+             {"instance": instance, "mac": proxy.mac, "ip": proxy.ip, key: 8080,
+              "location": {"dpid": proxy.dpid, "port": proxy.port}, "isProactive": role == "proxy"})
+    web = tcp_header(client.mac, client.ip, 34001, origin.mac, origin.ip, 80)
+    assert flows.packet_walk(client, web).delivered_to == "proxy"
+
+    assert post("DELETE", "onos/icn/proxy/proxy-0001", {})[0] == 200
+    assert flows.packet_walk(client, web).delivered_to == "proxy"  # icn-0002 still traps
+    assert post("DELETE", "onos/icn/icn/icn-0002", {})[0] == 200
+    assert flows.packet_walk(client, web).delivered_to == "origin"
+    assert set(flows.installations) == {("passthrough", proxy.ip)}  # the cache still needs it
+
+    assert post("DELETE", "onos/icn/icn/icn-0001", {})[0] == 200
+    assert flows.installations == {}

@@ -18,6 +18,7 @@ from icnsim.flows import (
     rule,
     tcp_header,
 )
+from icnsim.topology import Host, Link, Topology
 
 
 def make_fabric():
@@ -173,6 +174,29 @@ def test_passthrough_and_default_route_are_reused_not_duplicated():
     flows.activate(first)
     again = flows.install_default_route(client, origin)
     assert again is first
+
+
+def test_default_route_returns_along_the_forward_links():
+    # s1->s4 ties at 3 ms between s1-s3-s4 and s1-s2-s5-s4; the tie-break picks
+    # the latter, while s4->s1 picks s4-s3-s1.
+    def link(a, a_port, b, b_port, latency_ms):
+        return Link(a=a, a_port=a_port, b=b, b_port=b_port, latency_ms=latency_ms, bandwidth_mbps=10.0)
+
+    links = [
+        link("s1", 1, "s2", 1, 1.0), link("s2", 2, "s5", 1, 1.0), link("s5", 2, "s4", 1, 1.0),
+        link("s1", 2, "s3", 1, 1.5), link("s3", 2, "s4", 2, 1.5),
+    ]
+    a = Host(host_id="a", mac="02:00:00:00:00:01", ip="10.0.0.1", dpid="s1", port=10)
+    b = Host(host_id="b", mac="02:00:00:00:00:02", ip="10.0.0.2", dpid="s4", port=10)
+    topo = Topology(switches=["s1", "s2", "s3", "s4", "s5"], links=links, hosts={"a": a, "b": b})
+    assert topo.route("s1", "s4").dpids == ("s1", "s2", "s5", "s4")
+    assert topo.route("s4", "s1").dpids == ("s4", "s3", "s1")
+
+    installation = FlowManager(topo).install_default_route(a, b)
+    forward = [(r.dpid, r.actions[-1].port) for r in installation.forward_rules]
+    reverse = [(r.dpid, r.actions[-1].port) for r in installation.reverse_rules]
+    assert forward == [("s1", 1), ("s2", 2), ("s5", 2), ("s4", 10)]
+    assert reverse == [("s4", 1), ("s5", 1), ("s2", 1), ("s1", 10)]
 
 
 def test_session_rules_outrank_proactive_trap():

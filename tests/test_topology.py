@@ -133,11 +133,15 @@ def test_unreachable_switch_raises():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_shortest_path_cost_matches_brute_force(seed):
     topo = random_topology(random.Random(seed), max_switches=5)
-    names = topo.switches
-    for src, dst in itertools.combinations(names, 2):
-        expected = brute_force_cost(topo, src, dst)
-        got = topo.switch_path_latency(src, dst)
-        assert got == pytest.approx(expected)
+    for src, dst in itertools.product(topo.switches, repeat=2):
+        route = topo.route(src, dst)
+        assert list(route.dpids) == topo.shortest_path(src, dst)
+        assert route.latency_ms == pytest.approx(brute_force_cost(topo, src, dst))
+        assert len(route.ports) == len(route.links) == len(route.dpids) - 1
+        for here, there, port, link in zip(route.dpids, route.dpids[1:], route.ports, route.links):
+            assert topo.peer_port(here, port)[0] == there
+            assert (here, port) in ((link.a, link.a_port), (link.b, link.b_port))
+        assert topo.route(src, dst) is route
 
 
 def test_host_latency_includes_both_access_cables():

@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Check every golden event-log digest against a fresh run.
+
+Runs each scenario kind and seed listed in ``bench/digests.json`` through
+``run_single`` on the packaged config, prints every mismatch and exits 1 if
+there is any.  The table is only read; ``python3 bench/digests.py``
+regenerates it when the event stream changes on purpose.  The full sweep
+(5 kinds x 24 seeds) takes a minute or two, so it is not part of the tests:
+
+    python3 tools/verify_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = ROOT / "bench" / "digests.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+from icnsim.cli import default_config_path  # noqa: E402
+from icnsim.scenario import ScenarioKind, load_config  # noqa: E402
+from icnsim.simulation import run_single  # noqa: E402
+
+
+def main() -> int:
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    config = load_config(default_config_path())
+    started = time.perf_counter()
+    checked = mismatches = 0
+    for kind, seeds in sorted(table.items()):
+        for seed, expected in sorted(seeds.items(), key=lambda item: int(item[0])):
+            digest = hashlib.sha256()
+            for record in run_single(config, ScenarioKind(kind), 0, int(seed)):
+                digest.update(record.format_line().encode("utf-8"))
+                digest.update(b"\n")
+            checked += 1
+            if digest.hexdigest() != expected:
+                mismatches += 1
+                print(f"MISMATCH {kind} seed {seed}: {digest.hexdigest()} != {expected}")
+    elapsed = time.perf_counter() - started
+    print(f"{mismatches} mismatches over {checked} runs ({len(table)} kinds) in {elapsed:.1f} s")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
