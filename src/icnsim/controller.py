@@ -40,8 +40,17 @@ class ControlHooks(Protocol):
     def activate_installation(self, installation: PathInstallation) -> None: ...
 
     def fetch_mpd(
-        self, url_path: str, hostname: str, done: Callable[[MpdManifest | None], None]
-    ) -> None: ...
+        self,
+        url_path: str,
+        hostname: str,
+        expect: Callable[[float], None],
+        done: Callable[[MpdManifest | None], None],
+    ) -> None:
+        """Fetch and analyse a manifest, then call ``done`` with it or ``None``.
+
+        ``expect(ready_at_ms)`` may be called first, once it is known when
+        ``done`` will come; deferred decisions wait until then.
+        """
 
     def dispatch_prefetch(self, prefetcher: NetworkEndpoint, command) -> bool: ...
 
@@ -67,7 +76,11 @@ class ImmediateHooks:
             self._flows.activate(installation)
 
     def fetch_mpd(
-        self, url_path: str, hostname: str, done: Callable[[MpdManifest | None], None]
+        self,
+        url_path: str,
+        hostname: str,
+        expect: Callable[[float], None],
+        done: Callable[[MpdManifest | None], None],
     ) -> None:
         """Parse what the fetcher returns; no payload or one that fails to parse is ``None``."""
         payload = self._fetcher(url_path, hostname) if self._fetcher else None
@@ -109,8 +122,8 @@ class SteeringDeferred:
 @dataclass
 class InstanceState:
     manifests: dict[str, MpdManifest] = field(default_factory=dict)
-    pending_manifests: set[str] = field(default_factory=set)
-    manifest_ready_at: dict[str, float] = field(default_factory=dict)
+    # path -> when its analysis ends, None until the hooks say
+    pending_manifests: dict[str, float | None] = field(default_factory=dict)
     allocation: AllocationMap | None = None
     planned: dict[tuple[str, str], PlannedSpans] = field(default_factory=dict)  # by (viewer ip, mpd path)
 
@@ -358,7 +371,9 @@ class IcnController:
             # Cannot tell which layer this is yet; deciding now could pin a
             # layer to the wrong cache, so hold the answer until analysis ends.
             now = self.hooks.now_ms()
-            ready = max(state.manifest_ready_at.get(p, now + 20.0) for p in state.pending_manifests)
+            ready = max(
+                now + 20.0 if eta is None else eta for eta in state.pending_manifests.values()
+            )
             return SteeringDeferred(ready_at_ms=max(ready, now + 1.0)), None
         else:
             cache = self._nearest_cache(instance, notification)
@@ -431,12 +446,15 @@ class IcnController:
         path = mpdmod._url_path(notification.uri)
         if path in state.manifests or path in state.pending_manifests:
             return
-        state.pending_manifests.add(path)
+        state.pending_manifests[path] = None
         client_ip = notification.source_ip
 
+        def expect(ready_at_ms: float) -> None:
+            if path in state.pending_manifests:
+                state.pending_manifests[path] = ready_at_ms
+
         def done(manifest: MpdManifest | None) -> None:
-            state.pending_manifests.discard(path)
-            state.manifest_ready_at.pop(path, None)
+            state.pending_manifests.pop(path, None)
             if manifest is None:
                 self.hooks.log("ManifestReady", {"path": path, "ok": False})
                 return
@@ -458,11 +476,7 @@ class IcnController:
                 },
             )
 
-        self.hooks.fetch_mpd(path, notification.hostname, done)
-
-    def note_manifest_eta(self, instance_id: str, path: str, ready_at_ms: float) -> None:
-        """Let deferral know when analysis of a pending manifest will finish."""
-        self._state(instance_id).manifest_ready_at[path] = ready_at_ms
+        self.hooks.fetch_mpd(path, notification.hostname, expect, done)
 
     def _plan_fan_out(
         self,

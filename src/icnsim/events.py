@@ -89,11 +89,8 @@ class EventLoop:
 
         resume()
 
-    def run(self, max_time_ms: float | None = None) -> None:
+    def run(self) -> None:
         while self._heap:
-            if max_time_ms is not None and self._heap[0][0] > max_time_ms:
-                self.now = max_time_ms
-                return
             time_ms, _seq, callback = heapq.heappop(self._heap)
             self.now = time_ms
             callback()

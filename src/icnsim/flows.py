@@ -228,9 +228,7 @@ class FlowManager:
         server on the way back.
         """
         if session_key in self.installations:
-            existing = self.installations[session_key]
-            if existing.state is not InstallState.REMOVED:
-                raise DuplicateSession(f"session {session_key} already installed")
+            raise DuplicateSession(f"session {session_key} already installed")
         src_ip, src_port, dst_ip, dst_port = session_key
         assert (src_ip, dst_ip, dst_port) == (proxy.ip, *virtual_dst[1:])
         return self._divert(session_key, proxy, src_port, virtual_dst, cache, cache_port)
@@ -271,7 +269,7 @@ class FlowManager:
     def install_default_route(self, a: Host, b: Host) -> PathInstallation:
         """Plain forwarding for one host pair, both directions."""
         key = (a.ip, 0, b.ip, 0)
-        if key in self.installations and self.installations[key].state is not InstallState.REMOVED:
+        if key in self.installations:
             return self.installations[key]
         route = self.topology.route(a.dpid, b.dpid)
         forward = self._forward_chain(

@@ -19,7 +19,6 @@ from .mpd import MpdManifest, resolve_chain
 class AllocationMap:
     """Contiguous partition of the representation id space [0, R)."""
 
-    representation_count: int
     ranges: tuple[tuple[str, int, int], ...]  # (cache_id, lo, hi) with hi exclusive
 
     def cache_for(self, repr_id: int) -> str | None:
@@ -48,7 +47,7 @@ def allocate_layers(representation_count: int, nearest_first: list[str]) -> Allo
         size = base + (1 if idx < extra else 0)
         ranges.append((cache_id, lo, lo + size))
         lo += size
-    return AllocationMap(representation_count, tuple(ranges))
+    return AllocationMap(tuple(ranges))
 
 
 @dataclass(frozen=True)

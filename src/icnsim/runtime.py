@@ -23,13 +23,13 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .cache import CacheNode, CacheResult
-from .controller import IcnController, SteeringDeferred
+from .controller import ENDPOINT_PATHS, IcnController, SteeringDeferred
 from .errors import ConfigError
 from .events import EventKind, EventLoop
 from .flows import FlowManager, InstallState, PathInstallation, tcp_header
 from .mpd import MpdManifest, parse_mpd, resolve_chain, _url_path
 from .proxy import ProxySession, attempt_offsets
-from .registry import IcnRegistry, IcnType, NetworkEndpoint
+from .registry import EndpointRole, IcnRegistry, IcnType, NetworkEndpoint
 from .scenario import ScenarioConfig, ScenarioKind
 from .topology import Host, Topology
 from .transfer import TransferManager, host_path
@@ -104,7 +104,7 @@ class SimHooks:
 
         world.loop.schedule(delay, do)
 
-    def fetch_mpd(self, url_path: str, hostname: str, done) -> None:
+    def fetch_mpd(self, url_path: str, hostname: str, expect, done) -> None:
         world = self.world
         origin = world.host_for_hostname(hostname)
         size = world.catalog.get(url_path)
@@ -117,10 +117,7 @@ class SimHooks:
 
         def landed() -> None:
             analysis_ms = world.rng_prefetch.uniform(*cp.analysis_delay_s) * 1000.0
-            ready = world.loop.now + analysis_ms
-            for instance_id, state in world.controller.state.items():
-                if url_path in state.pending_manifests:
-                    world.controller.note_manifest_eta(instance_id, url_path, ready)
+            expect(world.loop.now + analysis_ms)
             manifest = world.manifest if url_path == world.mpd_path else None
             world.loop.schedule(analysis_ms, lambda: done(manifest))
 
@@ -457,13 +454,10 @@ class SimWorld:
 
         self.mpd_path = _url_path(config.mpd_url)
         self.origin_hostname = urlsplit(config.mpd_url).hostname or ""
-        origin_id = config.hostnames.get(self.origin_hostname)
-        if origin_id is None:
+        if config.hostnames.get(self.origin_hostname) is None:
             raise ConfigError(f"no topology host mapped to {self.origin_hostname!r}")
-        self.origin_host = self.topology.host(origin_id)
         self.manifest, self.catalog = shared_content(config.mpd_bytes(), self.mpd_path)
 
-        self.caches: dict[str, CacheNode] = {}
         self.cache_by_ip: dict[str, CacheNode] = {}
         self.cache_order: list[str] = []
         self.proxy_runtimes: dict[str, ProxyRuntime] = {}
@@ -497,24 +491,6 @@ class SimWorld:
                 "type": _ICN_TYPE_FOR_KIND[self.kind].value,
             },
         )
-        for proxy_spec in spec.proxies:
-            host = self.topology.host(proxy_spec.host)
-            endpoint_id = self._mgmt(
-                "onos/icn/proxy",
-                {
-                    "instance": instance_id,
-                    "mac": host.mac,
-                    "ip": host.ip,
-                    "proxy_port": proxy_spec.port,
-                    "location": {"dpid": host.dpid, "port": host.port},
-                    "type": proxy_spec.endpoint_type,
-                    "isProactive": proxy_spec.is_proactive,
-                },
-            )
-            self.proxy_runtimes[host.ip] = ProxyRuntime(
-                endpoint_id, host, self.config.proxy_params.accept_queue
-            )
-
         cache_specs = list(spec.caches)
         if not self.kind.distributed and len(cache_specs) > 1:
             client_host = self.topology.host(self.config.client.host)
@@ -525,43 +501,41 @@ class SimWorld:
                 )
             )
             cache_specs = cache_specs[:1]
-        for cache_spec in cache_specs:
-            host = self.topology.host(cache_spec.host)
-            endpoint_id = self._mgmt(
-                "onos/icn/cache",
-                {
-                    "instance": instance_id,
-                    "mac": host.mac,
-                    "ip": host.ip,
-                    "port": cache_spec.port,
-                    "location": {"dpid": host.dpid, "port": host.port},
-                    "type": cache_spec.endpoint_type,
-                },
-            )
-            node = CacheNode(
-                endpoint_id,
-                capacity_objects=self.config.cache_params.capacity_objects,
-                admission_failure_rate=self.config.cache_params.admission_failure_rate,
-                rng=random.Random(f"{self.seed}:cache:{endpoint_id}"),
-            )
-            self.caches[endpoint_id] = node
-            self.cache_by_ip[host.ip] = node
-
-        if self.kind.prefetches:
-            for prefetcher_spec in spec.prefetchers[:1]:
-                host = self.topology.host(prefetcher_spec.host)
+        # Endpoint ids and cache RNG seeds follow this order: proxies, caches, prefetcher.
+        registrations = (
+            ("onos/icn/proxy", spec.proxies),
+            ("onos/icn/cache", cache_specs),
+            ("onos/icn/prefetch", spec.prefetchers[:1] if self.kind.prefetches else []),
+        )
+        for path, endpoint_specs in registrations:
+            role, port_key = ENDPOINT_PATHS[path]
+            for endpoint_spec in endpoint_specs:
+                host = self.topology.host(endpoint_spec.host)
                 endpoint_id = self._mgmt(
-                    "onos/icn/prefetch",
+                    path,
                     {
                         "instance": instance_id,
                         "mac": host.mac,
                         "ip": host.ip,
-                        "prefetch_port": prefetcher_spec.port,
+                        port_key: endpoint_spec.port,
                         "location": {"dpid": host.dpid, "port": host.port},
-                        "type": prefetcher_spec.endpoint_type,
+                        "type": endpoint_spec.endpoint_type,
+                        "isProactive": role is EndpointRole.PROXY and endpoint_spec.is_proactive,
                     },
                 )
-                self.prefetcher = PrefetcherRuntime(self, endpoint_id, host)
+                if role is EndpointRole.PROXY:
+                    self.proxy_runtimes[host.ip] = ProxyRuntime(
+                        endpoint_id, host, self.config.proxy_params.accept_queue
+                    )
+                elif role is EndpointRole.CACHE:
+                    self.cache_by_ip[host.ip] = CacheNode(
+                        endpoint_id,
+                        capacity_objects=self.config.cache_params.capacity_objects,
+                        admission_failure_rate=self.config.cache_params.admission_failure_rate,
+                        rng=random.Random(f"{self.seed}:cache:{endpoint_id}"),
+                    )
+                else:
+                    self.prefetcher = PrefetcherRuntime(self, endpoint_id, host)
 
         for provider_spec in spec.providers:
             self._mgmt(
@@ -596,7 +570,7 @@ class SimWorld:
     def _warm_caches(self) -> None:
         """Preload as a previous identical run would have left things."""
         for endpoint_id in self.cache_order[:1]:
-            self.caches[endpoint_id].warm(self._warm_items())
+            self.cache_by_ip[self.registry.endpoints[endpoint_id].ip].warm(self._warm_items())
 
     # -- shared services ---------------------------------------------------------
 
@@ -640,7 +614,7 @@ class SimWorld:
 
     # -- run ----------------------------------------------------------------------
 
-    def execute(self, max_time_ms: float | None = None):
+    def execute(self):
         self.loop.emit(
             EventKind.RUN_START,
             {
@@ -653,7 +627,7 @@ class SimWorld:
             },
         )
         self.loop.spawn(self.client.play())
-        self.loop.run(max_time_ms)
+        self.loop.run()
         if self.client.video_end_ms is None:
             raise RuntimeError(f"run {self.run_index} stalled: client never finished")
         self.loop.emit(

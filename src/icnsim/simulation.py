@@ -33,14 +33,9 @@ class ScenarioResult:
 
 
 def run_single(
-    config: ScenarioConfig,
-    kind: ScenarioKind,
-    run_index: int,
-    seed: int,
-    max_time_ms: float | None = None,
+    config: ScenarioConfig, kind: ScenarioKind, run_index: int, seed: int
 ) -> list[SimEvent]:
-    world = SimWorld(config, kind, run_index, seed)
-    return world.execute(max_time_ms)
+    return SimWorld(config, kind, run_index, seed).execute()
 
 
 def run_scenario(
@@ -48,7 +43,6 @@ def run_scenario(
     kind: ScenarioKind | None = None,
     out_dir: Path | None = None,
     keep_records: bool = False,
-    max_time_ms: float | None = None,
 ) -> ScenarioResult:
     kind = kind or config.kind
     if out_dir is not None:
@@ -57,7 +51,7 @@ def run_scenario(
     result = ScenarioResult(ScenarioReport(kind.value, []), records=[] if keep_records else None)
     stem = kind.value.lower()
     for index, seed in enumerate(config.seeds):
-        records = run_single(config, kind, index, seed, max_time_ms)
+        records = run_single(config, kind, index, seed)
         result.report.runs.append(derive_run_metrics(records))
         if out_dir is not None:
             log_path = out_dir / f"{stem}_{index + 1:02d}.events"

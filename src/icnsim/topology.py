@@ -177,9 +177,13 @@ class Topology:
         found = self._routes.get((src, dst))
         if found is None:
             dpids = tuple(self.shortest_path(src, dst))
-            # between parallel links, the one listed first carries the route
+            # between parallel links, the fastest carries the route, the first
+            # listed among equals, as shortest_path costed it
             links = tuple(
-                next(l for l in self._adjacency[here] if l.peer_of(here) == there)
+                min(
+                    (l for l in self._adjacency[here] if l.peer_of(here) == there),
+                    key=lambda l: l.latency_ms,
+                )
                 for here, there in zip(dpids, dpids[1:])
             )
             ports = tuple(map(Link.port_at, links, dpids))

@@ -12,7 +12,7 @@ With a single 8 Mbit/s, 10 ms link, a 1 MB object completes after
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .events import EventLoop
@@ -57,84 +57,83 @@ def host_path(topology: Topology, src: Host, dst: Host) -> TransferPath:
     return TransferPath(segments)
 
 
-@dataclass
+@dataclass(eq=False)
 class Transfer:
-    transfer_id: int
     path: TransferPath
     remaining_bits: float
     on_complete: Callable[[], None]
+    links: tuple[tuple[str, float], ...]  # (key, bits per ms) of every finite segment
     rate_bits_per_ms: float = 0.0
-    last_update_ms: float = 0.0
-    version: int = 0
-    finite_keys: list[str] = field(default_factory=list)
 
 
 class TransferManager:
-    """Tracks active transfers and keeps their completion events honest."""
+    """Tracks active transfers and keeps one completion pending: the soonest drain.
+
+    Every active transfer was last settled at ``_settled_ms``.  Each start or
+    drain settles them all, recomputes the shares and schedules a fresh
+    completion for the transfer that drains first; the one holding the token
+    in ``_pending`` is current and any earlier one does nothing when it fires.
+    """
 
     def __init__(self, loop: EventLoop):
         self.loop = loop
-        self._next_id = 0
-        self._active: dict[int, Transfer] = {}
+        self._active: list[Transfer] = []
         self._link_users: dict[str, int] = {}
-        self._link_capacity: dict[str, float] = {}
+        self._settled_ms = 0.0
+        self._pending: object | None = None  # token of the current completion
 
     def start(self, path: TransferPath, size_bytes: float, on_complete: Callable[[], None]) -> Transfer:
-        self._next_id += 1
-        transfer = Transfer(
-            transfer_id=self._next_id,
-            path=path,
-            remaining_bits=size_bytes * 8.0,
-            on_complete=on_complete,
-            last_update_ms=self.loop.now,
+        links = tuple(
+            (s.key, s.bandwidth_mbps * 1000.0)  # bits per ms
+            for s in path.segments
+            if not math.isinf(s.bandwidth_mbps)
         )
-        transfer.finite_keys = [
-            s.key for s in path.segments if not math.isinf(s.bandwidth_mbps)
-        ]
-        for segment in path.segments:
-            if math.isinf(segment.bandwidth_mbps):
-                continue
-            self._link_users[segment.key] = self._link_users.get(segment.key, 0) + 1
-            self._link_capacity[segment.key] = segment.bandwidth_mbps * 1000.0  # bits per ms
-        self._active[transfer.transfer_id] = transfer
+        transfer = Transfer(path, size_bytes * 8.0, on_complete, links)
+        for key, _capacity in links:
+            self._link_users[key] = self._link_users.get(key, 0) + 1
+        self._active.append(transfer)
         self._rebalance()
         return transfer
 
-    def _settle(self, transfer: Transfer) -> None:
-        elapsed = self.loop.now - transfer.last_update_ms
-        if elapsed > 0 and transfer.rate_bits_per_ms > 0:
-            if math.isinf(transfer.rate_bits_per_ms):
-                transfer.remaining_bits = 0.0
-            else:
-                transfer.remaining_bits = max(
-                    0.0, transfer.remaining_bits - elapsed * transfer.rate_bits_per_ms
-                )
-        transfer.last_update_ms = self.loop.now
-
     def _rebalance(self) -> None:
         """Equal split per link, recomputed at every start/finish event."""
-        for transfer in self._active.values():
-            self._settle(transfer)
-            shares = [
-                self._link_capacity[key] / self._link_users[key] for key in transfer.finite_keys
-            ]
-            transfer.rate_bits_per_ms = min(shares) if shares else math.inf
-            transfer.version += 1
-            if transfer.remaining_bits <= 0 or math.isinf(transfer.rate_bits_per_ms):
+        now = self.loop.now
+        elapsed = now - self._settled_ms
+        self._settled_ms = now
+        soonest: tuple[float, float, Transfer] | None = None
+        for transfer in self._active:
+            rate = transfer.rate_bits_per_ms
+            if elapsed > 0 and rate > 0:
+                if math.isinf(rate):
+                    transfer.remaining_bits = 0.0
+                else:
+                    transfer.remaining_bits = max(0.0, transfer.remaining_bits - elapsed * rate)
+            rate = min(
+                (capacity / self._link_users[key] for key, capacity in transfer.links),
+                default=math.inf,
+            )
+            transfer.rate_bits_per_ms = rate
+            if transfer.remaining_bits <= 0 or math.isinf(rate):
                 drain_ms = 0.0
             else:
-                drain_ms = transfer.remaining_bits / transfer.rate_bits_per_ms
-            version = transfer.version
-            self.loop.schedule(drain_ms, lambda t=transfer, v=version: self._drained(t, v))
+                drain_ms = transfer.remaining_bits / rate
+            # The loop orders by now + delay, and two drains an ulp apart can
+            # land on the same due time; then the earlier start goes first.
+            if soonest is None or now + drain_ms < soonest[0]:
+                soonest = (now + drain_ms, drain_ms, transfer)
+        if soonest is None:
+            return
+        _due, drain_ms, transfer = soonest
+        token = self._pending = object()
+        self.loop.schedule(drain_ms, lambda: self._drained(transfer, token))
 
-    def _drained(self, transfer: Transfer, version: int) -> None:
-        if transfer.version != version or transfer.transfer_id not in self._active:
-            return  # a rebalance superseded this completion
-        del self._active[transfer.transfer_id]
-        for key in transfer.finite_keys:
+    def _drained(self, transfer: Transfer, token: object) -> None:
+        if token is not self._pending:
+            return  # a later rebalance superseded this completion
+        self._active.remove(transfer)
+        for key, _capacity in transfer.links:
             self._link_users[key] -= 1
             if self._link_users[key] == 0:
                 del self._link_users[key]
-                del self._link_capacity[key]
         self._rebalance()
         self.loop.schedule(transfer.path.latency_ms, transfer.on_complete)

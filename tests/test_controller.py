@@ -25,6 +25,7 @@ class RecordingHooks:
         self.flows = flows
         self.manifest = manifest
         self.hold_manifest = hold_manifest
+        self.pending_expect = []
         self.pending_done = []
         self.dispatched = []
         self.logged = []
@@ -36,8 +37,9 @@ class RecordingHooks:
     def activate_installation(self, installation):
         self.flows.activate(installation)
 
-    def fetch_mpd(self, url_path, hostname, done):
+    def fetch_mpd(self, url_path, hostname, expect, done):
         if self.hold_manifest:
+            self.pending_expect.append(expect)
             self.pending_done.append(done)
         else:
             done(self.manifest)
@@ -45,6 +47,7 @@ class RecordingHooks:
     def release_manifests(self):
         for done in self.pending_done:
             done(self.manifest)
+        self.pending_expect.clear()
         self.pending_done.clear()
 
     def dispatch_prefetch(self, prefetcher, command):
@@ -237,7 +240,10 @@ def test_distributed_defers_while_the_manifest_is_pending():
     topo, ctrl, hooks = build(icn_type="DISTRIBUTED_SVC_PREFETCH", hold_manifest=True)
     ctrl.handle_proxy_request(notify(topo, MPD_PATH))
     hooks.time = 100.0
-    ctrl.note_manifest_eta("icn-0001", MPD_PATH, 450.0)
+    deferred = ctrl.handle_proxy_request(notify(topo, seg(3, 1), sport=34002))
+    assert deferred.ready_at_ms == 120.0  # no ETA yet: ask again in 20 ms
+    [expect] = hooks.pending_expect
+    expect(450.0)
     deferred = ctrl.handle_proxy_request(notify(topo, seg(3, 1), sport=34002))
     assert isinstance(deferred, SteeringDeferred)
     assert deferred.ready_at_ms == 450.0

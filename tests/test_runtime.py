@@ -132,9 +132,9 @@ def test_run_tears_down_every_session(small_config):
 
 def test_cache_warm_state_differs_between_scenarios(small_config):
     full = SimWorld(small_config, ScenarioKind.FULL_CACHE, 0, 1)
-    assert sum(len(c) for c in full.caches.values()) > 0
+    assert sum(len(c) for c in full.cache_by_ip.values()) > 0
     empty = SimWorld(small_config, ScenarioKind.EMPTY_CACHE, 0, 1)
-    assert sum(len(c) for c in empty.caches.values()) == 0
+    assert sum(len(c) for c in empty.cache_by_ip.values()) == 0
 
 
 def test_activation_etas_are_dropped_once_rules_are_active(small_config):

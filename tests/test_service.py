@@ -248,7 +248,7 @@ def test_manifest_that_fails_to_parse_does_not_wedge_the_instance(payload):
         status, answer = call(base, "POST", "onos/icn/proxyrequest", proxyrequest("/v/small.mpd", 40001))
         assert status == 200 and answer["cache"] == "cache-0001"
         assert logged == [("ManifestReady", {"path": "/v/small.mpd", "ok": False})]
-        assert controller.state["icn-0001"].pending_manifests == set()
+        assert controller.state["icn-0001"].pending_manifests == {}
         # an unknown layer is answered at once, not held until a 503
         status, answer = call(base, "POST", "onos/icn/proxyrequest",
                               proxyrequest("/v/small_rep3_seg1.svc", 40002))

@@ -123,6 +123,21 @@ def test_equal_cost_tie_breaks_lexicographically():
     assert topo.shortest_path("s1", "s4") == ["s1", "s2", "s4"]
 
 
+def test_route_takes_the_fastest_of_parallel_links():
+    links = [
+        Link(a="s1", a_port=1, b="s2", b_port=1, latency_ms=10.0, bandwidth_mbps=10.0),
+        Link(a="s1", a_port=2, b="s2", b_port=2, latency_ms=1.0, bandwidth_mbps=10.0),
+        Link(a="s1", a_port=3, b="s2", b_port=3, latency_ms=1.0, bandwidth_mbps=10.0),
+    ]
+    topo = Topology(switches=["s1", "s2"], links=links, hosts={})
+    route = topo.route("s1", "s2")
+    # the first listed of the two 1 ms links, as shortest_path costed it
+    assert route.ports == (2,)
+    assert route.links == (links[1],)
+    assert route.latency_ms == 1.0
+    assert topo.route("s2", "s1").ports == (2,)
+
+
 def test_unreachable_switch_raises():
     topo = Topology(switches=["s1", "s2"], links=[], hosts={})
     with pytest.raises(Unreachable):
