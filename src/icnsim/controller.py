@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
+from urllib.parse import unquote
 
 from . import mpd as mpdmod
 from .errors import DuplicateAddress, IcnError, MpdError, UnknownInstance
@@ -162,6 +163,9 @@ class IcnController:
         self.lookahead = lookahead
         self.state: dict[str, InstanceState] = {}
         self._token_seq = 0
+        # Sessions answered and not yet released, by decision token, with the
+        # flows steering each (None for a session that needed none).
+        self._open_sessions: dict[str, PathInstallation | None] = {}
         # Live handler threads share one controller and its registry; every
         # entry point holds this lock, except while prefetch commands go out.
         # Reentrant, so a hook may call back into the controller.
@@ -251,6 +255,12 @@ class IcnController:
             self._release_flows(removed)
         elif collection == "onos/icn/provider":
             self.registry.delete_provider(target)
+        elif collection == PROXY_REQUEST_PATH:
+            # decision tokens hold ':' and '/', so the path carries them quoted
+            token = unquote(target)
+            if not self.release_session(token):
+                return 404, {"error": "UnknownSession", "message": token}
+            return 200, {"id": token}
         elif collection in ENDPOINT_PATHS:
             role = ENDPOINT_PATHS[collection][0]
             endpoint = self.registry.endpoints.get(target)
@@ -334,12 +344,27 @@ class IcnController:
         """
         with self._lock:
             outcome, prefetch = self._steer(notification, proxy_id)
+            if isinstance(outcome, SteeringResponse):
+                self._open_sessions[outcome.decision_token] = outcome.installation
         if prefetch is not None:
             self._dispatch_prefetch(*prefetch)
         if isinstance(outcome, SteeringResponse) and outcome.installation is not None:
             with self._lock:
                 self.hooks.activate_installation(outcome.installation)
         return outcome
+
+    def release_session(self, decision_token: str) -> bool:
+        """End the session answered with ``decision_token`` and tear down its flows.
+
+        False when no such session is open.
+        """
+        with self._lock:
+            if decision_token not in self._open_sessions:
+                return False
+            installation = self._open_sessions.pop(decision_token)
+            if installation is not None:
+                self.flows.teardown(installation)
+            return True
 
     def _steer(
         self, notification: ProxyRequestNotification, proxy_id: str | None

@@ -1,41 +1,20 @@
-"""Delayed-binding proxy: session states, request parsing, retry arithmetic.
+"""Delayed-binding proxy: request parsing, the controller notification, retry arithmetic.
 
 The proxy accepts a redirected connection, reads just enough of the request
 to learn the URL, asks the controller where that URL should go, and only then
 opens the upstream leg.  Upstream flows may still be settling when it dials,
-so connecting retries with exponential backoff.
+so connecting retries with exponential backoff.  Both callers, the
+simulator's ``runtime.fetch`` and the socket proxy in ``service``, walk these
+phases in one straight line, so no session state is kept here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from urllib.parse import urlsplit
 
 from .errors import MalformedHttp
-
-DEFAULT_INITIAL_BACKOFF_MS = 10.0
-DEFAULT_BACKOFF_FACTOR = 2.0
-DEFAULT_MAX_RETRIES = 5
-
-
-class ProxyState(Enum):
-    ACCEPTED = "accepted"
-    URL_READ = "url_read"
-    NOTIFIED = "notified"
-    STEERED = "steered"
-    SPLICED = "spliced"
-    CLOSED = "closed"
-
-
-_ALLOWED_MOVES = {
-    ProxyState.ACCEPTED: {ProxyState.URL_READ, ProxyState.CLOSED},
-    ProxyState.URL_READ: {ProxyState.NOTIFIED, ProxyState.CLOSED},
-    ProxyState.NOTIFIED: {ProxyState.STEERED, ProxyState.CLOSED},
-    ProxyState.STEERED: {ProxyState.SPLICED, ProxyState.CLOSED},
-    ProxyState.SPLICED: {ProxyState.CLOSED},
-    ProxyState.CLOSED: set(),
-}
+from .scenario import ProxyParams
 
 
 @dataclass(frozen=True)
@@ -112,28 +91,16 @@ def parse_request_head(raw: bytes | str) -> tuple[str, str, str]:
     return method, path, host
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProxySession:
     session_key: tuple[str, int, str, int, int]  # src ip, src port, dst ip, dst port, protocol
     client_mac: str
-    state: ProxyState = ProxyState.ACCEPTED
-    notification: ProxyRequestNotification | None = None
-
-    def _move(self, new_state: ProxyState) -> None:
-        if new_state not in _ALLOWED_MOVES[self.state]:
-            raise ValueError(f"illegal transition {self.state} -> {new_state}")
-        self.state = new_state
 
     def on_client_request(self, raw_head: bytes | str) -> ProxyRequestNotification:
-        """Read the request head and produce exactly one controller notification."""
+        """Read the request head and produce the one controller notification."""
         src_ip, src_port, dst_ip, dst_port, protocol = self.session_key
-        try:
-            _method, path, host = parse_request_head(raw_head)
-        except MalformedHttp:
-            self._move(ProxyState.CLOSED)
-            raise
-        self._move(ProxyState.URL_READ)
-        self.notification = ProxyRequestNotification(
+        _method, path, host = parse_request_head(raw_head)
+        return ProxyRequestNotification(
             uri=path,
             hostname=host,
             smac=self.client_mac,
@@ -143,36 +110,14 @@ class ProxySession:
             source_port=src_port,
             destination_port=dst_port,
         )
-        self._move(ProxyState.NOTIFIED)
-        return self.notification
-
-    def mark_steered(self) -> None:
-        self._move(ProxyState.STEERED)
-
-    def mark_spliced(self) -> None:
-        self._move(ProxyState.SPLICED)
-
-    def close(self) -> None:
-        if self.state is not ProxyState.CLOSED:
-            self._move(ProxyState.CLOSED)
 
 
-def backoff_waits(
-    initial_ms: float = DEFAULT_INITIAL_BACKOFF_MS,
-    factor: float = DEFAULT_BACKOFF_FACTOR,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> list[float]:
-    """Waits between consecutive connection attempts: 10, 20, 40, ... ms."""
-    return [initial_ms * factor**i for i in range(max_retries)]
+def attempt_offsets(params: ProxyParams) -> list[float]:
+    """Time offsets of every connection attempt relative to the first (which is at 0).
 
-
-def attempt_offsets(
-    initial_ms: float = DEFAULT_INITIAL_BACKOFF_MS,
-    factor: float = DEFAULT_BACKOFF_FACTOR,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> list[float]:
-    """Time offsets of every attempt relative to the first (which is at 0)."""
+    The waits between attempts grow as ``initial_backoff_ms * backoff_factor**i``.
+    """
     offsets = [0.0]
-    for wait in backoff_waits(initial_ms, factor, max_retries):
-        offsets.append(offsets[-1] + wait)
+    for i in range(params.max_retries):
+        offsets.append(offsets[-1] + params.initial_backoff_ms * params.backoff_factor**i)
     return offsets

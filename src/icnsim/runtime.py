@@ -212,7 +212,6 @@ def fetch(
         yield max(response.ready_at_ms - loop.now, 0.1)
     yield world.hooks.interaction_ms() / 2.0
 
-    session.mark_steered()
     loop.emit(
         EventKind.CTRL_RESPONSE,
         {
@@ -224,8 +223,7 @@ def fetch(
             "deferrals": deferrals,
         },
     )
-    params = world.config.proxy_params
-    offsets = attempt_offsets(params.initial_backoff_ms, params.backoff_factor, params.max_retries)
+    offsets = attempt_offsets(world.config.proxy_params)
     dial_base = loop.now
     for attempt, offset in enumerate(offsets):
         if attempt:
@@ -238,7 +236,6 @@ def fetch(
         if rules_ready:
             break
     else:
-        session.close()
         raise RuntimeError(f"upstream connect for {url_path} failed after {len(offsets)} attempts")
 
     # The SYN the proxy sends carries the virtual destination; the rules
@@ -255,18 +252,14 @@ def fetch(
             )
     one_way = world.topology.host_latency(proxy.host.host_id, target.host_id)
 
-    def spliced() -> None:
-        session.mark_spliced()
-        loop.emit(EventKind.SPLICE_ESTABLISHED, {**ids, "attempts": attempt + 1})
-
-    loop.schedule(2.0 * one_way, spliced)
+    loop.schedule(
+        2.0 * one_way, lambda: loop.emit(EventKind.SPLICE_ESTABLISHED, {**ids, "attempts": attempt + 1})
+    )
     yield 3.0 * one_way
     outcome = yield from _serve(world, target, requester, proxy.host, dst_host, url_path, role)
 
-    session.close()
     proxy.release()
-    if response.installation is not None:
-        world.flows.teardown(response.installation)
+    world.controller.release_session(response.decision_token)
     loop.emit(EventKind.SESSION_CLOSED, ids)
     return outcome
 

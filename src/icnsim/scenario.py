@@ -159,9 +159,7 @@ class ScenarioConfig:
         return findings
 
 
-def _range_pair(value, default: tuple[float, float]) -> tuple[float, float]:
-    if value is None:
-        return default
+def _range_pair(value) -> tuple[float, float]:
     if isinstance(value, (int, float)):
         return (float(value), float(value))
     lo, hi = value
@@ -193,6 +191,14 @@ def _parse_topology(data: dict) -> Topology:
             access_bandwidth_mbps=float(bandwidth) if bandwidth is not None else math.inf,
         )
     return Topology(switches=[str(s) for s in data.get("switches", [])], links=links, hosts=hosts)
+
+
+def _given(data: dict, **convert) -> dict:
+    """The keys of ``data`` named in ``convert``, converted.
+
+    An absent or null key is left out, so the dataclass default holds.
+    """
+    return {key: cast(data[key]) for key, cast in convert.items() if data.get(key) is not None}
 
 
 def _parse_endpoint_list(raw_list) -> list[EndpointSpec]:
@@ -238,9 +244,16 @@ def _build_config(data: dict, path: Path, kind_override: str | None) -> Scenario
         seeds = list(range(base, base + runs))
 
     registry_data = data.get("registry", {}) or {}
+    instance_data = registry_data.get("instance") or {}
     registry = RegistrySpec(
-        instance_name=str(registry_data.get("instance", {}).get("name", "icn-service")),
-        instance_description=str(registry_data.get("instance", {}).get("description", "")),
+        **_given(
+            {
+                "instance_name": instance_data.get("name"),
+                "instance_description": instance_data.get("description"),
+            },
+            instance_name=str,
+            instance_description=str,
+        ),
         proxies=_parse_endpoint_list(registry_data.get("proxies")),
         prefetchers=_parse_endpoint_list(registry_data.get("prefetchers")),
         caches=_parse_endpoint_list(registry_data.get("caches")),
@@ -264,8 +277,6 @@ def _build_config(data: dict, path: Path, kind_override: str | None) -> Scenario
     if not mpd_file.is_absolute():
         mpd_file = path.parent / mpd_file
 
-    capacity = cache_data.get("capacity_objects")
-    lookahead = control_data.get("lookahead_segments")
     return ScenarioConfig(
         name=str(data.get("name", path.stem)),
         topology=_parse_topology(data.get("topology", {}) or {}),
@@ -273,33 +284,34 @@ def _build_config(data: dict, path: Path, kind_override: str | None) -> Scenario
         mpd_file=mpd_file,
         mpd_url=str(mpd_data.get("url", "")),
         registry=registry,
+        # a missing host is left for validate() to report
         client=ClientParams(
-            host=str(client_data.get("host", "")),
-            representation=int(client_data.get("representation", 18)),
-            distributed_representation=int(client_data.get("distributed_representation", 33)),
-            startup_delay_s=float(client_data.get("startup_delay_s", 0.5)),
-            buffer_ahead_segments=int(client_data.get("buffer_ahead_segments", 3)),
+            host=str(client_data.get("host") or ""),
+            **_given(
+                client_data,
+                representation=int,
+                distributed_representation=int,
+                startup_delay_s=float,
+                buffer_ahead_segments=int,
+            ),
         ),
         kind=kind,
         seeds=seeds,
-        cache_params=CacheParams(
-            capacity_objects=int(capacity) if capacity is not None else None,
-            admission_failure_rate=float(cache_data.get("admission_failure_rate", 0.03)),
-        ),
+        cache_params=CacheParams(**_given(cache_data, capacity_objects=int, admission_failure_rate=float)),
         proxy_params=ProxyParams(
-            initial_backoff_ms=float(proxy_data.get("initial_backoff_ms", 10.0)),
-            backoff_factor=float(proxy_data.get("backoff_factor", 2.0)),
-            max_retries=int(proxy_data.get("max_retries", 5)),
-            accept_queue=int(proxy_data.get("accept_queue", 128)),
+            **_given(proxy_data, initial_backoff_ms=float, backoff_factor=float, max_retries=int, accept_queue=int)
         ),
         control_params=ControlParams(
-            interaction_ms=float(control_data.get("interaction_ms", 8.0)),
-            interaction_jitter_ms=float(control_data.get("interaction_jitter_ms", 2.0)),
-            flow_install_ms=float(control_data.get("flow_install_ms", 3.0)),
-            flow_install_jitter_ms=float(control_data.get("flow_install_jitter_ms", 1.5)),
-            analysis_delay_s=_range_pair(control_data.get("analysis_delay_s"), (0.1, 0.4)),
-            prefetch_warmup_s=_range_pair(control_data.get("prefetch_warmup_s"), (2.0, 25.0)),
-            prefetch_parallelism=int(control_data.get("prefetch_parallelism", 4)),
-            lookahead_segments=int(lookahead) if lookahead is not None else None,
+            **_given(
+                control_data,
+                interaction_ms=float,
+                interaction_jitter_ms=float,
+                flow_install_ms=float,
+                flow_install_jitter_ms=float,
+                analysis_delay_s=_range_pair,
+                prefetch_warmup_s=_range_pair,
+                prefetch_parallelism=int,
+                lookahead_segments=int,
+            )
         ),
     )

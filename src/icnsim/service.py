@@ -12,7 +12,7 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, quote, urlsplit
 from urllib.request import Request, urlopen
 
 from .controller import (
@@ -22,14 +22,8 @@ from .controller import (
     SteeringDeferred,
 )
 from .errors import DuplicateSession, IcnError, MalformedHttp
-from .proxy import (
-    DEFAULT_BACKOFF_FACTOR,
-    DEFAULT_INITIAL_BACKOFF_MS,
-    DEFAULT_MAX_RETRIES,
-    ProxySession,
-    backoff_waits,
-    parse_request_head,
-)
+from .proxy import ProxyRequestNotification, ProxySession, attempt_offsets, parse_request_head
+from .scenario import ProxyParams
 
 
 class HttpHooks(ImmediateHooks):
@@ -104,8 +98,6 @@ class _ControlHandler(BaseHTTPRequestHandler):
         self._respond(status, body)
 
     def _handle_proxy_request(self, params: dict) -> None:
-        from .proxy import ProxyRequestNotification
-
         try:
             notification = ProxyRequestNotification(
                 uri=params["uri"],
@@ -117,7 +109,11 @@ class _ControlHandler(BaseHTTPRequestHandler):
                 source_port=int(params["source_port"]),
                 destination_port=int(params["destination_port"]),
             )
-        except (KeyError, ValueError) as exc:
+            # the controller reads these as text; a JSON number or list would raise deep inside it
+            for key in ("uri", "hostname", "smac", "source_ip", "destination_ip"):
+                if not isinstance(getattr(notification, key), str):
+                    raise TypeError(f"{key} must be a string")
+        except (KeyError, TypeError, ValueError) as exc:
             self._respond(400, {"error": "BadNotification", "message": repr(exc)})
             return
         deadline = time.monotonic() + self.defer_wait_s
@@ -195,33 +191,39 @@ class PrefetchReceiver:
         self.server.server_close()
 
 
+def _reply(conn: socket.socket, status: str) -> None:
+    """A bodiless HTTP answer the proxy gives in place of the upstream's."""
+    conn.sendall(f"HTTP/1.1 {status}\r\nContent-Length: 0\r\n\r\n".encode("ascii"))
+
+
 class DelayedBindingProxy:
-    """Accept first, read the URL, ask the controller, only then dial upstream."""
+    """Accept first, read the URL, ask the controller, only then dial upstream.
+
+    The controller is reached over its REST face only: ``POST
+    onos/icn/proxyrequest`` for the decision, and ``DELETE
+    onos/icn/proxyrequest/<token>`` once the session ends.  At most
+    ``params.accept_queue`` sessions are open at once; a connection beyond
+    that is answered 503 at once.
+    """
 
     read_timeout_s = 5.0  # a client that stalls mid-head this long gets a 408
 
     def __init__(
         self,
+        controller_url: str,
         listen_host: str = "127.0.0.1",
         listen_port: int = 0,
-        controller: IcnController | None = None,
-        controller_url: str | None = None,
         default_upstream_port: int = 80,
-        initial_backoff_ms: float = DEFAULT_INITIAL_BACKOFF_MS,
-        backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-        max_retries: int = DEFAULT_MAX_RETRIES,
+        params: ProxyParams = ProxyParams(),
     ):
-        if controller is None and controller_url is None:
-            raise ValueError("need an in-process controller or a controller URL")
-        self.controller = controller
-        self.controller_url = controller_url.rstrip("/") if controller_url else None
+        self.controller_url = controller_url.rstrip("/")
         self.default_upstream_port = default_upstream_port
-        self.waits_ms = backoff_waits(initial_backoff_ms, backoff_factor, max_retries)
+        self.offsets_ms = attempt_offsets(params)
+        self._slots = threading.BoundedSemaphore(params.accept_queue)
         self._listener = socket.create_server((listen_host, listen_port))
         self._listener.settimeout(0.2)
         self._running = False
         self._thread: threading.Thread | None = None
-        self.sessions: dict[tuple, ProxySession] = {}  # open sessions by client address
 
     @property
     def address(self) -> tuple[str, int]:
@@ -247,6 +249,13 @@ class DelayedBindingProxy:
                 continue
             except OSError:
                 return
+            if not self._slots.acquire(blocking=False):
+                with conn:
+                    try:
+                        _reply(conn, "503 Service Unavailable")
+                    except OSError:
+                        pass
+                continue
             threading.Thread(target=self._serve, args=(conn, addr), daemon=True).start()
 
     def _read_head(self, conn: socket.socket) -> bytes:
@@ -259,15 +268,8 @@ class DelayedBindingProxy:
             head += chunk
         return head
 
-    def _steer(self, notification) -> dict | None:
-        if self.controller is not None:
-            outcome = self.controller.handle_proxy_request(notification)
-            if isinstance(outcome, SteeringDeferred):
-                return None
-            return {"ip": outcome.connect_ip, "port": outcome.connect_port}
-        url = f"{self.controller_url}/{PROXY_REQUEST_PATH}"
-        data = json.dumps(notification.to_params()).encode("utf-8")
-        request = Request(url, data=data, headers={"Content-Type": "application/json"})
+    def _ask(self, request: Request) -> dict | None:
+        """The controller's JSON answer, or None for an error status or no answer."""
         try:
             with urlopen(request, timeout=10.0) as response:
                 return json.loads(response.read().decode("utf-8"))
@@ -275,9 +277,9 @@ class DelayedBindingProxy:
             return None
 
     def _dial(self, ip: str, port: int) -> socket.socket | None:
-        for index, wait_ms in enumerate([0.0, *self.waits_ms]):
-            if index > 0:
-                time.sleep(wait_ms / 1000.0)
+        start = time.monotonic()
+        for offset_ms in self.offsets_ms:
+            time.sleep(max(start + offset_ms / 1000.0 - time.monotonic(), 0.0))
             try:
                 return socket.create_connection((ip, port), timeout=5.0)
             except OSError:
@@ -285,46 +287,51 @@ class DelayedBindingProxy:
         return None
 
     def _serve(self, conn: socket.socket, addr: tuple) -> None:
-        client_ip, client_port = addr[0], addr[1]
-        with conn:
-            try:
-                head = self._read_head(conn)
-            except TimeoutError:
-                conn.sendall(b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n")
+        try:
+            with conn:
+                self._bind(conn, addr[0], addr[1])
+        finally:
+            self._slots.release()
+
+    def _bind(self, conn: socket.socket, client_ip: str, client_port: int) -> None:
+        try:
+            head = self._read_head(conn)
+        except TimeoutError:
+            _reply(conn, "408 Request Timeout")
+            return
+        if not head:
+            return
+        try:
+            _method, _path, host = parse_request_head(head)
+            dst_ip = socket.gethostbyname(host)
+        except (MalformedHttp, UnicodeError):  # UnicodeError: a host name IDNA cannot encode
+            _reply(conn, "400 Bad Request")
+            return
+        except OSError:
+            dst_ip = "0.0.0.0"
+        session = ProxySession(
+            (client_ip, client_port, dst_ip, self.default_upstream_port, 6),
+            client_mac="00:00:00:00:00:00",
+        )
+        answer = self._ask(Request(
+            f"{self.controller_url}/{PROXY_REQUEST_PATH}",
+            data=json.dumps(session.on_client_request(head).to_params()).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        ))
+        if answer is None:
+            _reply(conn, "503 Service Unavailable")
+            return
+        try:
+            upstream = self._dial(str(answer["ip"]), int(answer["port"]))
+            if upstream is None:
+                _reply(conn, "502 Bad Gateway")
                 return
-            if not head:
-                return
-            try:
-                _method, _path, host = parse_request_head(head)
-            except MalformedHttp:
-                conn.sendall(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
-                return
-            try:
-                dst_ip = socket.gethostbyname(host)
-            except OSError:
-                dst_ip = "0.0.0.0"
-            session = ProxySession(
-                (client_ip, client_port, dst_ip, self.default_upstream_port, 6),
-                client_mac="00:00:00:00:00:00",
-            )
-            self.sessions[addr] = session
-            try:
-                answer = self._steer(session.on_client_request(head))
-                if answer is None:
-                    conn.sendall(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
-                    return
-                session.mark_steered()
-                upstream = self._dial(str(answer["ip"]), int(answer["port"]))
-                if upstream is None:
-                    conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
-                    return
-                with upstream:
-                    upstream.sendall(head)
-                    session.mark_spliced()
-                    self._splice(conn, upstream)
-            finally:
-                session.close()
-                del self.sessions[addr]
+            with upstream:
+                upstream.sendall(head)
+                self._splice(conn, upstream)
+        finally:
+            token = quote(str(answer["decision"]), safe="")
+            self._ask(Request(f"{self.controller_url}/{PROXY_REQUEST_PATH}/{token}", method="DELETE"))
 
     @staticmethod
     def _splice(a: socket.socket, b: socket.socket) -> None:
@@ -349,3 +356,4 @@ class DelayedBindingProxy:
         upstream_to_client.start()
         pump(a, b)
         upstream_to_client.join(timeout=5.0)
+

@@ -7,7 +7,7 @@ them byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .events import SimEvent, write_event_log
@@ -26,9 +26,6 @@ from .scenario import ScenarioConfig, ScenarioKind
 @dataclass
 class ScenarioResult:
     report: ScenarioReport
-    event_log_paths: list[Path] = field(default_factory=list)
-    csv_path: Path | None = None
-    summary_path: Path | None = None
     records: list[list[SimEvent]] | None = None
 
 
@@ -54,16 +51,12 @@ def run_scenario(
         records = run_single(config, kind, index, seed)
         result.report.runs.append(derive_run_metrics(records))
         if out_dir is not None:
-            log_path = out_dir / f"{stem}_{index + 1:02d}.events"
-            write_event_log(records, log_path)
-            result.event_log_paths.append(log_path)
+            write_event_log(records, out_dir / f"{stem}_{index + 1:02d}.events")
         if keep_records:
             result.records.append(records)
     if out_dir is not None:
-        result.csv_path = out_dir / f"{stem}.csv"
-        result.csv_path.write_text(csv_report(result.report), encoding="utf-8")
-        result.summary_path = out_dir / f"{stem}_summary.txt"
-        result.summary_path.write_text(text_summary(result.report), encoding="utf-8")
+        (out_dir / f"{stem}.csv").write_text(csv_report(result.report), encoding="utf-8")
+        (out_dir / f"{stem}_summary.txt").write_text(text_summary(result.report), encoding="utf-8")
     return result
 
 

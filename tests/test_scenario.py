@@ -3,7 +3,15 @@ import pytest
 
 from icnsim.cli import default_config_path
 from icnsim.errors import ConfigError
-from icnsim.scenario import ScenarioKind, load_config
+from icnsim.scenario import (
+    CacheParams,
+    ClientParams,
+    ControlParams,
+    ProxyParams,
+    RegistrySpec,
+    ScenarioKind,
+    load_config,
+)
 
 
 def test_default_config_is_clean(default_config):
@@ -93,6 +101,52 @@ def test_distributed_needs_two_caches(tmp_path):
 def test_unknown_topology_reference(tmp_path):
     def mutate(data):
         data["client"]["host"] = "ghost"
+
+    config = load_config(rewrite_config(tmp_path, mutate))
+    assert any("client host" in f for f in config.validate())
+
+
+def test_default_config_loads_to_these_dataclasses(default_config):
+    config = default_config
+    assert config.client == ClientParams(
+        host="client1", representation=18, distributed_representation=33,
+        startup_delay_s=0.5, buffer_ahead_segments=3,
+    )
+    assert config.cache_params == CacheParams(capacity_objects=None, admission_failure_rate=0.03)
+    assert config.proxy_params == ProxyParams(
+        initial_backoff_ms=10.0, backoff_factor=2.0, max_retries=5, accept_queue=128
+    )
+    assert config.control_params == ControlParams(
+        interaction_ms=8.0, interaction_jitter_ms=2.0, flow_install_ms=3.0,
+        flow_install_jitter_ms=1.5, analysis_delay_s=(0.1, 0.4), prefetch_warmup_s=(2.0, 25.0),
+        prefetch_parallelism=4, lookahead_segments=None,
+    )
+    assert (config.registry.instance_name, config.registry.instance_description) == (
+        "bbb-svc", "layered video demo"
+    )
+
+
+def test_null_or_missing_keys_keep_the_dataclass_defaults(tmp_path):
+    def mutate(data):
+        data["client"] = {key: None for key in data["client"]}
+        for section in ("cache_model", "proxy_model", "control_model"):
+            data[section] = {key: None for key in data[section]}
+        data["registry"]["instance"] = {"name": None}
+
+    config = load_config(rewrite_config(tmp_path, mutate))
+    assert config.client == ClientParams(host="")  # left for validate() to report
+    assert any("client host" in f for f in config.validate())
+    assert config.cache_params == CacheParams()
+    assert config.proxy_params == ProxyParams()
+    assert config.control_params == ControlParams()
+    assert (config.registry.instance_name, config.registry.instance_description) == (
+        RegistrySpec().instance_name, RegistrySpec().instance_description
+    )
+
+
+def test_missing_client_host_reaches_validate(tmp_path):
+    def mutate(data):
+        del data["client"]["host"]
 
     config = load_config(rewrite_config(tmp_path, mutate))
     assert any("client host" in f for f in config.validate())

@@ -7,8 +7,10 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
+from urllib.parse import quote
 from urllib.request import Request, urlopen
 
 import pytest
@@ -19,6 +21,7 @@ from icnsim.controller import IcnController, ImmediateHooks
 from icnsim.flows import FlowManager
 from icnsim.mpd import parse_mpd, resolve_chain
 from icnsim.registry import IcnRegistry
+from icnsim.scenario import ProxyParams
 from icnsim.service import (
     DelayedBindingProxy,
     HttpHooks,
@@ -126,6 +129,33 @@ GATEWAY_REQUEST = {
 }
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("uri", 5), ("hostname", []), ("source_ip", {}), ("source_port", [80])],
+    ids=["uri-number", "hostname-list", "source_ip-object", "source_port-list"],
+)
+def test_mistyped_notification_gets_400_and_the_server_keeps_answering(control, field, value):
+    _, base = control
+    status, answer = call(base, "POST", "onos/icn/proxyrequest", {**GATEWAY_REQUEST, field: value})
+    assert status == 400 and answer["error"] == "BadNotification"
+    status, answer = call(base, "POST", "onos/icn/proxyrequest", GATEWAY_REQUEST)
+    assert status == 200 and answer["defaultGateway"] is True
+
+
+def release(base, token):
+    return call(base, "DELETE", f"onos/icn/proxyrequest/{quote(token, safe='')}")
+
+
+def test_unknown_session_token_gets_404(control):
+    _, base = control
+    status, answer = release(base, "d000042:icn-0001/cache-0001")
+    assert status == 404 and answer["error"] == "UnknownSession"
+    status, answer = call(base, "POST", "onos/icn/proxyrequest", GATEWAY_REQUEST)
+    assert status == 200
+    assert release(base, answer["decision"]) == (200, {"id": answer["decision"]})
+    assert release(base, answer["decision"])[0] == 404  # released once only
+
+
 @pytest.mark.parametrize("path", ["onos/icn/proxyrequest", "onos/icn/icn"])
 @pytest.mark.parametrize(
     "body, headers",
@@ -144,22 +174,50 @@ def test_unparseable_body_gets_400_and_the_server_keeps_answering(control, path,
     assert status == 200 and answer["defaultGateway"] is True
 
 
+def register_plain(post, network="10.0.0.0/8"):
+    """A PLAIN instance with one proxy, one cache (cache-0001) and a provider for ``/v/``.
+
+    ``post`` is ``IcnController.handle_management_request`` or its REST twin, ``partial(call, base)``.
+    """
+    params = {"instance": "icn-0001", "location": {"dpid": "s1", "port": 101}}
+    assert post("POST", "onos/icn/icn", {"name": "bbb", "type": "PLAIN"})[0] == 201
+    assert post("POST", "onos/icn/proxy", {**params, "mac": "aa:00:00:00:00:01",
+                                           "ip": "10.0.0.7", "proxy_port": 8080})[0] == 201
+    assert post("POST", "onos/icn/cache", {**params, "mac": "aa:00:00:00:00:02",
+                                           "ip": "10.0.0.8", "port": 3128})[0] == 201
+    assert post("POST", "onos/icn/provider",
+                {"instance": "icn-0001", "name": "p", "network": network,
+                 "uripattern": "/v/.*", "hostpattern": ".*"})[0] == 201
+
+
 def test_duplicate_proxyrequest_gets_409(control):
     _, base = control
-    params = {"instance": "icn-0001", "location": {"dpid": "s1", "port": 101}}
-    assert call(base, "POST", "onos/icn/icn", {"name": "bbb", "type": "PLAIN"})[0] == 201
-    assert call(base, "POST", "onos/icn/proxy", {**params, "mac": "aa:00:00:00:00:01",
-                                                 "ip": "10.0.0.7", "proxy_port": 8080})[0] == 201
-    assert call(base, "POST", "onos/icn/cache", {**params, "mac": "aa:00:00:00:00:02",
-                                                 "ip": "10.0.0.8", "port": 3128})[0] == 201
-    assert call(base, "POST", "onos/icn/provider",
-                {"instance": "icn-0001", "name": "p", "network": "10.0.0.0/8",
-                 "uripattern": "/v/.*", "hostpattern": ".*"})[0] == 201
+    register_plain(partial(call, base))
     request = {**GATEWAY_REQUEST, "uri": "/v/seg1.svc", "source_port": 40001}
     status, first = call(base, "POST", "onos/icn/proxyrequest", request)
     assert status == 200 and first["cache"] == "cache-0001"
     status, second = call(base, "POST", "onos/icn/proxyrequest", request)
     assert status == 409 and second["error"] == "DuplicateSession"
+
+
+def test_released_session_leaves_only_the_registration_flows(control):
+    controller, base = control
+    register_plain(partial(call, base))
+    registered = set(controller.flows.installations)
+    tokens = []
+    for sport in range(40001, 40011):
+        status, answer = call(base, "POST", "onos/icn/proxyrequest",
+                              {**GATEWAY_REQUEST, "uri": "/v/seg1.svc", "source_port": sport})
+        assert status == 200 and answer["cache"] == "cache-0001"
+        tokens.append(answer["decision"])
+    assert len(controller.flows.installations) == len(registered) + 10
+    for token in tokens:
+        assert release(base, token)[0] == 200
+    assert set(controller.flows.installations) == registered
+    # the port is free again
+    status, answer = call(base, "POST", "onos/icn/proxyrequest",
+                          {**GATEWAY_REQUEST, "uri": "/v/seg1.svc", "source_port": 40001})
+    assert status == 200 and answer["cache"] == "cache-0001"
 
 
 def serve_small_mpd(path, host):
@@ -403,60 +461,91 @@ def gateway_controller():
     return IcnController(IcnRegistry(topo), FlowManager(topo))  # no providers
 
 
+@contextmanager
+def proxying(controller, **kwargs):
+    """A started proxy that asks ``controller`` over its REST face."""
+    with serving(controller) as base:
+        proxy = DelayedBindingProxy(base, **kwargs).start()
+        try:
+            yield proxy
+        finally:
+            proxy.stop()
+
+
+def fetch_through(proxy, head, source_address=None):
+    """Send one request head through the proxy and read the reply to its end."""
+    with socket.create_connection(proxy.address, timeout=5.0, source_address=source_address) as conn:
+        conn.sendall(head)
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    return reply
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not (met := condition()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return met
+
+
 def test_proxy_dials_upstream_only_after_the_head():
     origin = CountingOrigin()
-    proxy = DelayedBindingProxy(
-        controller=gateway_controller(), default_upstream_port=origin.port
-    ).start()
+    controller = gateway_controller()
     try:
-        with socket.create_connection(proxy.address, timeout=5.0) as conn:
-            time.sleep(0.3)  # connected, but the URL is still unknown
-            assert origin.connections == 0
-            conn.sendall(b"GET /hello HTTP/1.1\r\nHost: localhost\r\n\r\n")
-            reply = b""
-            while chunk := conn.recv(4096):
-                reply += chunk
-        assert b"200" in reply.split(b"\r\n", 1)[0]
-        assert reply.endswith(b"origin:/hello")
-        assert origin.connections == 1
-        deadline = time.time() + 2.0
-        while proxy.sessions and time.time() < deadline:
-            time.sleep(0.01)  # the worker notices our close asynchronously
-        assert proxy.sessions == {}  # only open sessions are held
+        with proxying(controller, default_upstream_port=origin.port) as proxy:
+            with socket.create_connection(proxy.address, timeout=5.0) as conn:
+                time.sleep(0.3)  # connected, but the URL is still unknown
+                assert origin.connections == 0
+                conn.sendall(b"GET /hello HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                reply = b""
+                while chunk := conn.recv(4096):
+                    reply += chunk
+            assert b"200" in reply.split(b"\r\n", 1)[0]
+            assert reply.endswith(b"origin:/hello")
+            assert origin.connections == 1
+            # the worker notices our close asynchronously, then releases the session
+            assert wait_until(lambda: controller._open_sessions == {})
     finally:
-        proxy.stop()
         origin.stop()
 
 
-def test_proxy_answers_400_to_garbage():
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"NOT A REQUEST\r\n\r\n",
+        b"GET / HTTP/1.1\r\nHost: a..b\r\n\r\n",
+        b"GET / HTTP/1.1\r\nHost: " + b"a" * 300 + b".example\r\n\r\n",
+    ],
+    ids=["garbage", "empty-label", "300-char-label"],
+)
+def test_proxy_answers_400_to_garbage(head):
     origin = CountingOrigin()
-    proxy = DelayedBindingProxy(
-        controller=gateway_controller(), default_upstream_port=origin.port
-    ).start()
     try:
-        with socket.create_connection(proxy.address, timeout=5.0) as conn:
-            conn.sendall(b"NOT A REQUEST\r\n\r\n")
-            reply = conn.recv(4096)
+        with proxying(gateway_controller(), default_upstream_port=origin.port) as proxy:
+            with socket.create_connection(proxy.address, timeout=5.0) as conn:
+                conn.sendall(head)
+                reply = conn.recv(4096)
         assert reply.startswith(b"HTTP/1.1 400")
         assert origin.connections == 0
     finally:
-        proxy.stop()
         origin.stop()
 
 
 def test_proxy_answers_408_to_a_stalled_head():
-    proxy = DelayedBindingProxy(controller=gateway_controller())
-    proxy.read_timeout_s = 0.2
-    proxy.start()
-    try:
-        with socket.create_connection(proxy.address, timeout=2.0) as conn:
-            conn.sendall(b"GET /slow HTTP/1.1\r\nHost: loc")  # and nothing more
-            started = time.monotonic()
-            reply = conn.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 408")
-        assert time.monotonic() - started < 1.0
-    finally:
-        proxy.stop()
+    with serving(gateway_controller()) as base:
+        proxy = DelayedBindingProxy(base)
+        proxy.read_timeout_s = 0.2
+        proxy.start()
+        try:
+            with socket.create_connection(proxy.address, timeout=2.0) as conn:
+                conn.sendall(b"GET /slow HTTP/1.1\r\nHost: loc")  # and nothing more
+                started = time.monotonic()
+                reply = conn.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 408")
+            assert time.monotonic() - started < 1.0
+        finally:
+            proxy.stop()
 
 
 def test_proxy_gives_up_with_502_when_upstream_is_dead():
@@ -465,32 +554,63 @@ def test_proxy_gives_up_with_502_when_upstream_is_dead():
     placeholder.bind(("127.0.0.1", 0))
     dead_port = placeholder.getsockname()[1]
     placeholder.close()
-    proxy = DelayedBindingProxy(
-        controller=gateway_controller(), default_upstream_port=dead_port,
-        initial_backoff_ms=1.0, max_retries=2,
-    ).start()
-    try:
+    params = ProxyParams(initial_backoff_ms=1.0, max_retries=2)
+    with proxying(gateway_controller(), default_upstream_port=dead_port, params=params) as proxy:
         with socket.create_connection(proxy.address, timeout=5.0) as conn:
             conn.sendall(b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")
             reply = conn.recv(4096)
         assert reply.startswith(b"HTTP/1.1 502")
-    finally:
-        proxy.stop()
 
 
 def test_proxy_steers_through_rest_controller(control):
     _, base = control
     origin = CountingOrigin()
-    proxy = DelayedBindingProxy(
-        controller_url=base, default_upstream_port=origin.port
-    ).start()
+    proxy = DelayedBindingProxy(base, default_upstream_port=origin.port).start()
     try:
-        with socket.create_connection(proxy.address, timeout=5.0) as conn:
-            conn.sendall(b"GET /file HTTP/1.1\r\nHost: localhost\r\n\r\n")
-            reply = b""
-            while chunk := conn.recv(4096):
-                reply += chunk
+        reply = fetch_through(proxy, b"GET /file HTTP/1.1\r\nHost: localhost\r\n\r\n")
         assert reply.endswith(b"origin:/file")
     finally:
         proxy.stop()
+        origin.stop()
+
+
+def test_proxy_releases_each_session_so_its_port_can_return():
+    """Session rules are keyed by the client's source port; a second client reusing it must be steered too."""
+    origin = CountingOrigin()
+    topo = line_topology(2, hosts={"proxy": "s1", "cache": "s1", "origin": "s2"})
+    controller = IcnController(IcnRegistry(topo), FlowManager(topo))
+    register_plain(controller.handle_management_request, network="127.0.0.0/8")
+    registered = set(controller.flows.installations)
+    free = socket.socket()
+    free.bind(("127.0.0.2", 0))
+    sport = free.getsockname()[1]
+    free.close()
+    try:
+        with proxying(controller, default_upstream_port=origin.port) as proxy:
+            for client_ip in ("127.0.0.2", "127.0.0.3"):
+                reply = fetch_through(proxy, b"GET /v/file HTTP/1.1\r\nHost: localhost\r\n\r\n",
+                                      source_address=(client_ip, sport))
+                assert reply.startswith(b"HTTP/1.0 200") and reply.endswith(b"origin:/v/file"), reply
+                assert wait_until(lambda: set(controller.flows.installations) == registered)
+        assert origin.connections == 2
+    finally:
+        origin.stop()
+
+
+def test_proxy_answers_503_beyond_its_accept_queue():
+    origin = CountingOrigin()
+    try:
+        with proxying(gateway_controller(), default_upstream_port=origin.port,
+                      params=ProxyParams(accept_queue=2)) as proxy:
+            idle = [socket.create_connection(proxy.address, timeout=5.0) for _ in range(2)]
+            try:
+                with socket.create_connection(proxy.address, timeout=5.0) as conn:
+                    assert conn.recv(4096).startswith(b"HTTP/1.1 503")
+            finally:
+                for conn in idle:
+                    conn.close()
+            head = b"GET /again HTTP/1.1\r\nHost: localhost\r\n\r\n"
+            # the idle sessions end asynchronously; then a slot is free again
+            assert wait_until(lambda: fetch_through(proxy, head).endswith(b"origin:/again"))
+    finally:
         origin.stop()
